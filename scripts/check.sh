@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
-# CI-style verification: configure + build + ctest for the default preset
-# and for ThreadSanitizer, both with warnings promoted to errors.
+# CI-style verification: configure + build + ctest for the default preset,
+# for ThreadSanitizer and for ASan+UBSan, all with warnings promoted to
+# errors.
 #
-#   scripts/check.sh            # default + tsan
+#   scripts/check.sh            # default + tsan + san
 #   scripts/check.sh default    # just one preset
 #   scripts/check.sh tsan
 #
 # Exits non-zero on the first failing step.  Build directories follow the
-# presets (build/, build-tsan/), so a plain developer build and a check
-# run do not clobber each other's cache variables: the script always
-# re-runs configure with -DMSYS_WERROR=ON.
+# presets (build/, build-tsan/, build-san/), so a plain developer build
+# and a check run do not clobber each other's cache variables: the script
+# always re-runs configure with -DMSYS_WERROR=ON.
 #
 # After a green default-preset run the engine throughput, serving and
 # annealing benches are measured and gated against the committed
@@ -25,7 +26,7 @@ cd "$(dirname "$0")/.."
 jobs=$(nproc 2>/dev/null || echo 4)
 presets=("${@:-default}")
 if [ "$#" -eq 0 ]; then
-  presets=(default tsan)
+  presets=(default tsan san)
 fi
 
 for preset in "${presets[@]}"; do
@@ -37,7 +38,10 @@ for preset in "${presets[@]}"; do
   ctest --preset "$preset" -j "$jobs"
 
   bindir="build"
-  [ "$preset" = "tsan" ] && bindir="build-tsan"
+  [ "$preset" != "default" ] && bindir="build-$preset"
+  # The smokes below run msysc outside ctest: give them the san test
+  # preset's UBSan setting, so undefined behaviour fails the run there too.
+  [ "$preset" = "san" ] && export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
   msysc="./$bindir/examples/msysc"
 
   # Cold-batch stress: a 100% miss-rate batch at 1/2/4 threads must
@@ -49,13 +53,17 @@ for preset in "${presets[@]}"; do
   echo "==> [$preset] cold-batch stress (byte identity across thread counts)"
   "./$bindir/tests/engine_test" --gtest_filter='ColdBatchStress.*' >/dev/null
 
-  # Fault-tolerance smoke: the persistent store round-trips across
-  # processes, injected torn writes are quarantined and repaired, and a
-  # stalled compile under --deadline-ms exits as structured infeasibility
-  # (3), never a crash.  Runs under every preset so the cancellation and
-  # single-flight paths also get a ThreadSanitizer pass.
+  # Fault-tolerance smoke: --results-out is byte-identical at -j 1 and
+  # -j 4, the persistent store round-trips across processes, injected torn
+  # writes are quarantined and repaired, and a stalled compile under
+  # --deadline-ms exits as structured infeasibility (3), never a crash.
+  # Runs under every preset so the cancellation and single-flight paths
+  # also get a sanitizer pass.
   echo "==> [$preset] fault-tolerance smoke (store / faults / deadline)"
   smoke=$(mktemp -d)
+  "$msysc" --batch examples/apps -j 1 --results-out "$smoke/j1.tsv" >/dev/null
+  "$msysc" --batch examples/apps -j 4 --results-out "$smoke/j4.tsv" >/dev/null
+  cmp "$smoke/j1.tsv" "$smoke/j4.tsv"
   "$msysc" --batch examples/apps --store "$smoke/store" >/dev/null
   "$msysc" --batch examples/apps --store "$smoke/store" | grep -q "from store"
   "$msysc" --verify-store "$smoke/store" >/dev/null
@@ -71,40 +79,6 @@ for preset in "${presets[@]}"; do
   MSYS_FAULTS="garbage" "$msysc" --batch examples/apps >/dev/null 2>&1 || rc=$?
   [ "$rc" = "1" ]
   rm -rf "$smoke"
-
-  # Distributed smoke: a 3-worker fleet over the lease exchange produces
-  # the same --results-out bytes as a single-process run, even when one
-  # worker is SIGKILLed mid-compile (engine.compile.stall pins a lease
-  # long enough to pick a victim deterministically).  Afterwards the
-  # exchange must fsck clean: one repair pass for the victim's debris,
-  # then zero expired leases / orphaned claims.
-  echo "==> [$preset] distributed smoke (3 workers, one SIGKILLed mid-batch)"
-  msysd="./$bindir/examples/msysd"
-  dsmoke=$(mktemp -d)
-  "$msysc" --batch examples/apps --results-out "$dsmoke/ref.tsv" >/dev/null
-  MSYS_FAULTS="seed=5;engine.compile.stall=always:500" \
-    "$msysc" --batch examples/apps --dist "$dsmoke/ex" --workers 3 \
-    --msysd "$msysd" --results-out "$dsmoke/got.tsv" >/dev/null &
-  driver=$!
-  victim=""
-  for _ in $(seq 1 400); do
-    lease=$(ls "$dsmoke/ex/active" 2>/dev/null | head -n 1 || true)
-    if [ -n "$lease" ]; then
-      worker=${lease#*.}
-      worker=${worker%%.*}
-      victim=$(awk '{print $2}' "$dsmoke/ex/hb/$worker.hb" 2>/dev/null || true)
-      [ -n "$victim" ] && break
-    fi
-    sleep 0.01
-  done
-  [ -n "$victim" ]
-  kill -9 "$victim" 2>/dev/null || true
-  wait "$driver"
-  cmp "$dsmoke/ref.tsv" "$dsmoke/got.tsv"
-  "$msysc" --verify-store "$dsmoke/ex/store" --dist "$dsmoke/ex" >/dev/null
-  "$msysc" --verify-store "$dsmoke/ex/store" --dist "$dsmoke/ex" \
-    | grep -q "0 expired leases, 0 orphaned claims"
-  rm -rf "$dsmoke"
 
   # Annealing smoke: the parallel simulated-annealing search must produce
   # byte-identical reports at 1/2/4 pool threads (the islands contract),
@@ -173,7 +147,7 @@ for preset in "${presets[@]}"; do
       # --repeat 7: the gate's speedup_vs_serial_cold floor sits right at
       # 1.0 on a single-core box, so best-of needs enough repetitions to
       # filter preemption noise out of both the serial and parallel rows.
-      ./build/bench/engine_throughput --dist 3 --repeat 7 --json /tmp/bench_engine_current.json >/dev/null
+      ./build/bench/engine_throughput --repeat 7 --json /tmp/bench_engine_current.json >/dev/null
       if python3 scripts/bench_gate.py BENCH_engine.json /tmp/bench_engine_current.json; then
         gate_ok=1
         break

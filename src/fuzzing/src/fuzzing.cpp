@@ -14,6 +14,7 @@
 #include "msys/common/cancel.hpp"
 #include "msys/common/error.hpp"
 #include "msys/common/rng.hpp"
+#include "msys/common/shrink.hpp"
 #include "msys/csched/context_plan.hpp"
 #include "msys/dsched/cost.hpp"
 #include "msys/dsched/fallback.hpp"
@@ -444,28 +445,22 @@ struct CaseIr {
 }  // namespace
 
 std::string shrink_text(std::string text, const Predicate& keep, int max_steps) {
-  if (!keep(text)) return text;
   using Transform = bool (CaseIr::*)();
   static constexpr Transform kTransforms[] = {
       &CaseIr::drop_last_cluster, &CaseIr::drop_last_kernel, &CaseIr::halve_iterations,
       &CaseIr::halve_sizes, &CaseIr::halve_fbset};
-  int steps = 0;
-  bool progress = true;
-  while (progress && steps < max_steps) {
-    progress = false;
+  const auto candidates = [](const std::string& current) {
+    std::vector<std::string> out;
     for (Transform t : kTransforms) {
-      std::optional<CaseIr> ir = CaseIr::from_text(text);
-      if (!ir) return text;  // unparseable cases shrink no further
+      std::optional<CaseIr> ir = CaseIr::from_text(current);
+      if (!ir) break;  // unparseable cases shrink no further
       if (!((*ir).*t)()) continue;
-      const std::string candidate = ir->emit();
-      if (candidate == text || !keep(candidate)) continue;
-      text = candidate;
-      ++steps;
-      progress = true;
-      break;
+      std::string candidate = ir->emit();
+      if (candidate != current) out.push_back(std::move(candidate));
     }
-  }
-  return text;
+    return out;
+  };
+  return shrink_greedy(std::move(text), candidates, keep, max_steps);
 }
 
 // ---------------------------------------------------------------------------

@@ -109,10 +109,10 @@ struct ChaosOptions {
 /// Never throws for a failing case — failures are data in the stats.
 [[nodiscard]] ChaosStats run_chaos_campaign(const ChaosOptions& options);
 
-/// Greedy trace minimiser (fuzzing::shrink_text's sibling): drops aligned
-/// event chunks, then single events, then strips deadlines and priorities,
-/// keeping every candidate for which `keep` still returns true.  Never
-/// shrinks below one event.
+/// Greedy trace minimiser (shrink_greedy, as fuzzing::shrink_text uses):
+/// drops aligned event chunks, then single events, then strips deadlines
+/// and priorities, keeping every candidate for which `keep` still returns
+/// true.  Never shrinks below one event.
 [[nodiscard]] TraceFile shrink_trace(TraceFile trace,
                                      const std::function<bool(const TraceFile&)>& keep,
                                      int max_steps = 64);

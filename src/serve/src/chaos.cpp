@@ -9,6 +9,7 @@
 #include "msys/arch/m1.hpp"
 #include "msys/common/fault_injector.hpp"
 #include "msys/common/rng.hpp"
+#include "msys/common/shrink.hpp"
 #include "msys/serve/partition.hpp"
 #include "msys/serve/serve_loop.hpp"
 #include "msys/store/disk_store.hpp"
@@ -334,54 +335,30 @@ ChaosCase make_chaos_case(std::uint64_t base_seed, std::size_t index) {
 TraceFile shrink_trace(TraceFile trace,
                        const std::function<bool(const TraceFile&)>& keep,
                        int max_steps) {
-  if (trace.events.size() <= 1 || !keep(trace)) return trace;
-  int steps = 0;
-
-  // Pass 1: drop aligned event chunks, halving the chunk size — the
-  // classic delta-debugging sweep, restarted from the largest chunk after
-  // every success.
-  for (std::size_t chunk = trace.events.size() / 2; chunk >= 1; chunk /= 2) {
-    bool progress = true;
-    while (progress && steps < max_steps && trace.events.size() > 1) {
-      progress = false;
-      for (std::size_t start = 0; start + chunk <= trace.events.size();
-           start += chunk) {
-        if (trace.events.size() - chunk < 1) break;
-        TraceFile candidate = trace;
-        candidate.events.erase(
-            candidate.events.begin() + static_cast<std::ptrdiff_t>(start),
-            candidate.events.begin() + static_cast<std::ptrdiff_t>(start + chunk));
-        if (!keep(candidate)) continue;
-        trace = std::move(candidate);
-        ++steps;
-        progress = true;
-        break;
+  if (trace.events.size() <= 1) return trace;
+  const auto candidates = [](const TraceFile& current) {
+    std::vector<TraceFile> out;
+    // Drop aligned event chunks, largest first — the delta-debugging
+    // sweep.  Chunks are at most half the trace, so one event survives.
+    const std::size_t n = current.events.size();
+    for (std::size_t chunk = n / 2; chunk >= 1; chunk /= 2) {
+      for (std::size_t start = 0; start + chunk <= n; start += chunk) {
+        std::vector<TraceEvent>& events = out.emplace_back(current).events;
+        const auto first = events.begin() + static_cast<std::ptrdiff_t>(start);
+        events.erase(first, first + static_cast<std::ptrdiff_t>(chunk));
       }
     }
-    if (chunk == 1) break;
-  }
-
-  // Pass 2: normalise per-event fields — a repro without deadlines or
-  // priorities implicates the base replay machinery, not admission.
-  for (std::size_t i = 0; i < trace.events.size() && steps < max_steps; ++i) {
-    if (trace.events[i].deadline_cycles != 0) {
-      TraceFile candidate = trace;
-      candidate.events[i].deadline_cycles = 0;
-      if (keep(candidate)) {
-        trace = std::move(candidate);
-        ++steps;
+    // Then normalise per-event fields — a repro without deadlines or
+    // priorities implicates the base replay machinery, not admission.
+    for (std::size_t i = 0; i < n; ++i) {
+      if (current.events[i].deadline_cycles != 0) {
+        out.emplace_back(current).events[i].deadline_cycles = 0;
       }
+      if (current.events[i].priority != 0) out.emplace_back(current).events[i].priority = 0;
     }
-    if (trace.events[i].priority != 0 && steps < max_steps) {
-      TraceFile candidate = trace;
-      candidate.events[i].priority = 0;
-      if (keep(candidate)) {
-        trace = std::move(candidate);
-        ++steps;
-      }
-    }
-  }
-  return trace;
+    return out;
+  };
+  return shrink_greedy(std::move(trace), candidates, keep, max_steps);
 }
 
 ChaosStats run_chaos_campaign(const ChaosOptions& options) {

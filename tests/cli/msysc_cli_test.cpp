@@ -37,11 +37,12 @@ int msysc(const std::string& args, const std::string& env = "") {
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
-/// msysc() that also captures combined stdout+stderr into *out.
+/// msysc() that also captures combined stdout+stderr into *out, or only
+/// stderr when `stderr_only` is set.
 int msysc_capture(const std::string& args, std::string* out,
-                  const std::string& env = "") {
-  const std::string cmd =
-      (env.empty() ? "" : env + " ") + std::string(MSYSC_BIN) + " " + args + " 2>&1";
+                  const std::string& env = "", bool stderr_only = false) {
+  const std::string cmd = (env.empty() ? "" : env + " ") + std::string(MSYSC_BIN) + " " +
+                          args + (stderr_only ? " 2>&1 >/dev/null" : " 2>&1");
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) return -1;
   out->clear();
@@ -60,6 +61,14 @@ fs::path scratch(const std::string& leaf) {
   const fs::path path = dir / leaf;
   fs::remove_all(path);  // never inherit state from a previous suite run
   return path;
+}
+
+/// Reads a whole file ("" when missing/unreadable).
+std::string slurp(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
 }
 
 TEST(MsyscCli, NoArgumentsIsAUsageError) { EXPECT_EQ(msysc(""), 1); }
@@ -164,6 +173,18 @@ TEST(MsyscCli, StoreFlagsRejectMissingOperands) {
   EXPECT_EQ(msysc("--batch " MSYS_APPS_DIR " --retries nope"), 1);
 }
 
+TEST(MsyscCli, DistFlagsRejectMissingOperands) {
+  // The multi-process batch flags (--dist, --workers, --msysd) are removed;
+  // with or without an operand they are unknown flags, still a usage error.
+  EXPECT_EQ(msysc("--batch " MSYS_APPS_DIR " --dist"), 1);
+  EXPECT_EQ(msysc("--batch " MSYS_APPS_DIR " --dist x"), 1);
+  EXPECT_EQ(msysc("--batch " MSYS_APPS_DIR " --workers nope"), 1);
+  EXPECT_EQ(msysc("--batch " MSYS_APPS_DIR " --workers 3"), 1);
+  EXPECT_EQ(msysc("--batch " MSYS_APPS_DIR " --results-out"), 1);
+  EXPECT_EQ(msysc("--batch " MSYS_APPS_DIR " --msysd"), 1);
+  EXPECT_EQ(msysc("--batch " MSYS_APPS_DIR " --msysd x"), 1);
+}
+
 TEST(MsyscCli, MalformedFaultSpecIsAUsageError) {
   EXPECT_EQ(msysc(MSYS_DEMO_APP, "MSYS_FAULTS=garbage"), 1);
   EXPECT_EQ(msysc(MSYS_DEMO_APP, "MSYS_FAULTS='seed=1;x=1/0'"), 1);
@@ -259,110 +280,65 @@ TEST(MsyscCli, KilledBatchRunRecoversOnRerunWithTheSameStore) {
 }
 
 // ---------------------------------------------------------------------------
-// Distributed mode: the lease-based worker fleet behind --dist.
+// --results-out: the canonical per-file lines of a batch.
 // ---------------------------------------------------------------------------
 
-/// Reads a whole file ("" when missing/unreadable).
-std::string slurp(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
-
-TEST(MsyscCli, DistFlagsRejectMissingOperands) {
-  EXPECT_EQ(msysc("--batch " MSYS_APPS_DIR " --dist"), 1);
-  EXPECT_EQ(msysc("--batch " MSYS_APPS_DIR " --workers nope"), 1);
-  EXPECT_EQ(msysc("--batch " MSYS_APPS_DIR " --results-out"), 1);
-  EXPECT_EQ(msysc("--batch " MSYS_APPS_DIR " --msysd"), 1);
-}
-
-TEST(MsyscCli, DistributedBatchMatchesSingleProcessByteForByte) {
-  const fs::path ref = scratch("ref.txt");
-  const fs::path got = scratch("dist.txt");
-  const fs::path exchange = scratch("exchange");
-  ASSERT_EQ(msysc("--batch " MSYS_APPS_DIR " --results-out " + ref.string()), 0);
-  ASSERT_EQ(msysc("--batch " MSYS_APPS_DIR " --dist " + exchange.string() +
-                  " --workers 3 --results-out " + got.string() + " --msysd " MSYSD_BIN),
+TEST(MsyscCli, BatchResultsAreByteIdenticalAcrossThreadsAndStore) {
+  const fs::path ref = scratch("j1.tsv");
+  const fs::path j4 = scratch("j4.tsv");
+  const fs::path cold = scratch("cold.tsv");
+  const fs::path warm = scratch("warm.tsv");
+  const fs::path store = scratch("store");
+  ASSERT_EQ(msysc("--batch " MSYS_APPS_DIR " -j 1 --results-out " + ref.string()), 0);
+  ASSERT_EQ(msysc("--batch " MSYS_APPS_DIR " -j 4 --results-out " + j4.string()), 0);
+  ASSERT_EQ(msysc("--batch " MSYS_APPS_DIR " --store " + store.string() +
+                  " --results-out " + cold.string()),
             0);
-  const std::string expected = slurp(ref);
-  ASSERT_FALSE(expected.empty());
-  EXPECT_EQ(slurp(got), expected);
-  // The exchange's shared store passes fsck, lease sweep included.
-  EXPECT_EQ(msysc("--verify-store " + (exchange / "store").string() + " --dist " +
-                  exchange.string()),
-            0);
-}
-
-TEST(MsyscCli, DistributedBatchSurvivesWorkerSigkill) {
-  // The acceptance scenario: three workers, one SIGKILL'd while it holds a
-  // lease mid-compile.  The survivors must re-claim the orphaned lease and
-  // the merged results must be byte-identical to a single-process run.
-  const fs::path ref = scratch("ref.txt");
-  const fs::path got = scratch("dist.txt");
-  const fs::path exchange = scratch("exchange");
-  ASSERT_EQ(msysc("--batch " MSYS_APPS_DIR " --results-out " + ref.string()), 0);
-
-  const pid_t driver_pid = fork();
-  ASSERT_GE(driver_pid, 0);
-  if (driver_pid == 0) {
-    // Every compile stalls 500ms so the kill below always lands while the
-    // victim is mid-job (deterministic via the fault injector).
-    ::setenv("MSYS_FAULTS", "seed=5;engine.compile.stall=always:500", 1);
-    const int devnull = ::open("/dev/null", O_WRONLY);
-    if (devnull >= 0) {
-      ::dup2(devnull, 1);
-      ::dup2(devnull, 2);
-    }
-    ::execl(MSYSC_BIN, "msysc", "--batch", MSYS_APPS_DIR, "--dist",
-            exchange.c_str(), "--workers", "3", "--results-out", got.c_str(),
-            "--msysd", MSYSD_BIN, static_cast<char*>(nullptr));
-    _exit(127);  // exec failed
-  }
-
-  // Find a worker that actually holds a lease: parse the worker name out
-  // of an active/NNNN.<worker>.<expiry>.lease filename, then its pid out
-  // of hb/<worker>.hb ("<worker> <pid> <seq> <ms>").
-  pid_t victim = -1;
-  for (int tries = 0; tries < 400 && victim < 0; ++tries) {
-    ::usleep(10 * 1000);
-    std::error_code ec;
-    for (const fs::directory_entry& entry :
-         fs::directory_iterator(exchange / "active", ec)) {
-      const std::string leaf = entry.path().filename().string();
-      // NNNNNNNN.<worker>.<expiry>.lease
-      const std::size_t first = leaf.find('.');
-      const std::size_t second = leaf.find('.', first + 1);
-      if (first == std::string::npos || second == std::string::npos) continue;
-      const std::string worker = leaf.substr(first + 1, second - first - 1);
-      std::istringstream hb(slurp(exchange / "hb" / (worker + ".hb")));
-      std::string name;
-      long long pid = 0;
-      if (hb >> name >> pid && pid > 0) victim = static_cast<pid_t>(pid);
-      break;
-    }
-  }
-  ASSERT_GT(victim, 0) << "no leased worker appeared to kill";
-  ASSERT_EQ(::kill(victim, SIGKILL), 0);
-
-  int status = 0;
-  ASSERT_EQ(::waitpid(driver_pid, &status, 0), driver_pid);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
-
-  // Byte-identical merge despite the crash.
-  const std::string expected = slurp(ref);
-  ASSERT_FALSE(expected.empty());
-  EXPECT_EQ(slurp(got), expected);
-
-  // fsck: the first sweep may repair (dead temp files from the killed
-  // worker); the second must be fully clean.
-  const std::string verify_args = "--verify-store " + (exchange / "store").string() +
-                                  " --dist " + exchange.string();
-  EXPECT_EQ(msysc(verify_args), 0);
   std::string out;
-  EXPECT_EQ(msysc_capture(verify_args, &out), 0);
-  EXPECT_NE(out.find("clean"), std::string::npos) << out;
+  ASSERT_EQ(msysc_capture("--batch " MSYS_APPS_DIR " --store " + store.string() +
+                              " --results-out " + warm.string(),
+                          &out),
+            0);
+  EXPECT_NE(out.find("from store"), std::string::npos) << out;
+  const std::string expected = slurp(ref);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(slurp(j4), expected);
+  EXPECT_EQ(slurp(cold), expected);
+  EXPECT_EQ(slurp(warm), expected);
+}
+
+TEST(MsyscCli, MalformedFileInABatchIsAParseErrorRow) {
+  const fs::path dir = scratch("apps");
+  fs::create_directories(dir);
+  fs::copy_file(MSYS_DEMO_APP, dir / "demo.mapp");
+  std::ofstream(dir / "bad.mapp") << "this is not an application\n";
+  const fs::path results = scratch("results.tsv");
+  EXPECT_EQ(msysc("--batch " + dir.string() + " --results-out " + results.string()), 2);
+  // Files are sorted, so bad.mapp is row 0; it never reached the engine.
+  const std::string lines = slurp(results);
+  EXPECT_EQ(lines.rfind("0\tbad.mapp\t-\t-\t-\tparse-error\t2\n", 0), 0u) << lines;
+  EXPECT_NE(lines.find("1\tdemo.mapp\t"), std::string::npos) << lines;
+}
+
+TEST(MsyscCli, ExhaustedStoreReadsAreReportedAndKeepTheResults) {
+  const fs::path store = scratch("store");
+  const fs::path healthy = scratch("healthy.tsv");
+  const fs::path degraded = scratch("degraded.tsv");
+  ASSERT_EQ(msysc("--batch " MSYS_APPS_DIR " --store " + store.string() +
+                  " --results-out " + healthy.string()),
+            0);
+  // Every read of the warm store fails: each job exhausts its retry
+  // budget, recomputes, and says so on stderr.
+  std::string err;
+  ASSERT_EQ(msysc_capture("--batch " MSYS_APPS_DIR " --store " + store.string() +
+                              " --results-out " + degraded.string(),
+                          &err, "MSYS_FAULTS='seed=11;store.read.io_error=always'",
+                          /*stderr_only=*/true),
+            0);
+  EXPECT_NE(err.find("store.read.exhausted"), std::string::npos) << err;
+  const std::string expected = slurp(healthy);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(slurp(degraded), expected);
 }
 
 TEST(MsyscCli, ServeFlagsRejectMissingOperands) {
