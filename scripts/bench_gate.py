@@ -15,19 +15,19 @@ picked by the record's "bench" name:
   serve_throughput (rows keyed by mode, tenants; records predating the
   overload mode default their rows to mode="steady"):
     * jobs_per_sec         — regression = current below baseline
-    * p50_cycles           — regression = current above baseline
-    * p99_cycles           — regression = current above baseline
-    * p99_hi_cycles        — regression = current above baseline
-                             (highest-priority tail: the overload rows'
+    * p50_cycles           — regression = current above baseline (deterministic)
+    * p99_cycles           — regression = current above baseline (deterministic)
+    * p99_hi_cycles        — regression = current above baseline (deterministic;
+                             highest-priority tail: the overload rows'
                              "shed instead of collapse" yardstick)
-    * deadline_missed      — regression = current above baseline
-    * rejected             — regression = current above baseline
-    * shed                 — regression = current above baseline
-    * degraded             — regression = current above baseline
+    * deadline_missed      — regression = current above baseline (deterministic)
+    * rejected             — regression = current above baseline (deterministic)
+    * shed                 — regression = current above baseline (deterministic)
+    * degraded             — regression = current above baseline (deterministic)
 
   anneal_quality (rows keyed by app, budget):
-    * cycles_saved         — regression = current below baseline
-    * annealed_cycles      — regression = current above baseline
+    * cycles_saved         — regression = current below baseline (deterministic)
+    * annealed_cycles      — regression = current above baseline (deterministic)
 
 The per-job latency columns use a wider band (--latency-threshold,
 default 1.0 = 2x): at the ~10us (hit) and ~1ms (miss) scales a
@@ -35,28 +35,32 @@ preemption on a shared box moves a single measurement far more than 30%,
 while the regressions the gate exists to catch (e.g. losing single-flight
 coalescing re-grows miss latency ~5x at 4 threads) clear 2x easily.
 Throughput and queue depth aggregate a whole batch and hold the tight
-threshold.  The serve bench's cycle fields are *virtual time* — fully
-deterministic, zero measurement noise — so the tight threshold flags any
-real scheduling change while wall-clock noise only touches jobs_per_sec.
+threshold.  The serve bench's cycle fields are *virtual time* — zero
+measurement noise — so the tight threshold flags any real scheduling
+change while wall-clock noise only touches jobs_per_sec.
 
-The anneal_quality cycle fields are a pure function of (workload, seed,
-islands, budget) — zero measurement noise — so they compare exactly on any
-hardware, even when hardware_threads differ; walltime_ms is deliberately
-unwatched (budget tiers exist so walltime scaling is visible to humans, but
-machine speed is not a schedule-quality regression).
+Fields marked deterministic are a pure function of the bench's inputs —
+the serve bench's virtual-time cycles and outcome counts, the
+anneal_quality cycle fields (a function of workload, seed, islands and
+budget) — so they compare on any hardware, even when hardware_threads
+differ, and a deterministic field whose baseline is 0 fails on any move
+in its bad direction (a relative band around 0 would let it grow
+unchecked).  walltime_ms is deliberately unwatched (budget tiers exist so
+walltime scaling is visible to humans, but machine speed is not a
+schedule-quality regression).
 
 Latency baselines below MIN_MS (warm rows report avg_miss_ms = 0) carry no
 signal at millisecond resolution and are skipped.  Rows present in only
 one file are reported but do not fail the gate — a sweep with a different
 --max-threads is a different experiment, not a regression.
 
-Absolute numbers only compare like hardware: both records carry the
-machine's "hardware_threads", and when they differ (or either record
-predates the field) every absolute comparison is skipped with a loud
-warning — a 16-core runner beating a 1-core baseline is not a signal,
-and a 1-core runner "regressing" from a 16-core baseline doubly so.
-Hardware-independent *ratios* still gate in that case: for
-engine_throughput, every cold row above 1 thread must keep
+Measured (non-deterministic) fields only compare like hardware: both
+records carry the machine's "hardware_threads", and when they differ (or
+either record predates the field) every measured comparison is skipped
+with a loud warning — a 16-core runner beating a 1-core baseline is not a
+signal, and a 1-core runner "regressing" from a 16-core baseline doubly
+so.  Deterministic fields and hardware-independent *ratios* still gate in
+that case: for engine_throughput, every cold row above 1 thread must keep
 speedup_vs_serial_cold >= --min-cold-speedup (default 1.0) — parallel
 cold batches running slower than serial is the regression this bench
 exists to catch, on any machine.
@@ -98,6 +102,9 @@ SCHEMAS = {
             "degraded": "lower",
         },
         "latency_fields": set(),
+        # Virtual time and outcome counts: identical on any hardware.
+        "deterministic": {"p50_cycles", "p99_cycles", "p99_hi_cycles",
+                          "deadline_missed", "rejected", "shed", "degraded"},
     },
     "anneal_quality": {
         "key": ("app", "budget"),
@@ -106,8 +113,7 @@ SCHEMAS = {
             "annealed_cycles": "lower",
         },
         "latency_fields": set(),
-        # Cycle counts are deterministic — compare on any hardware.
-        "deterministic": True,
+        "deterministic": {"cycles_saved", "annealed_cycles"},
     },
 }
 
@@ -167,21 +173,20 @@ def main():
     key_fields = schema["key"]
     watched = schema["watched"]
     latency_fields = schema["latency_fields"]
-    deterministic = schema.get("deterministic", False)
+    deterministic = schema.get("deterministic", set())
 
     key_defaults = schema.get("key_defaults", {})
     base = index_rows(args.baseline, base_doc, key_fields, key_defaults)
     cur = index_rows(args.current, cur_doc, key_fields, key_defaults)
 
-    # Absolute fields (jobs/sec, latencies, queue depth) are meaningless
+    # Measured fields (jobs/sec, latencies, queue depth) are meaningless
     # across different machines.  The records carry hardware_threads for
     # exactly this comparison; records predating the field are treated as
     # unknown hardware.
     base_hw = base_doc.get("hardware_threads")
     cur_hw = cur_doc.get("hardware_threads")
-    compare_absolute = (deterministic
-                        or (base_hw is not None and base_hw == cur_hw))
-    if not compare_absolute:
+    compare_measured = base_hw is not None and base_hw == cur_hw
+    if not compare_measured and set(watched) - deterministic:
         reason = (f"baseline hardware_threads={base_hw} vs current "
                   f"hardware_threads={cur_hw}" if base_hw is not None
                   and cur_hw is not None else
@@ -189,9 +194,10 @@ def main():
                   f"{args.current}: {cur_hw})")
         print("bench_gate: " + "=" * 66)
         print(f"bench_gate: WARNING: {reason}")
-        print("bench_gate: WARNING: absolute comparisons SKIPPED — only "
-              "hardware-independent ratios are gated.  Regenerate the "
-              "committed baseline on this machine to restore full coverage.")
+        print("bench_gate: WARNING: measured comparisons SKIPPED — only "
+              "deterministic fields and hardware-independent ratios are "
+              "gated.  Regenerate the committed baseline on this machine "
+              "to restore full coverage.")
         print("bench_gate: " + "=" * 66)
 
     regressions = []
@@ -202,19 +208,24 @@ def main():
             where = "baseline" if key not in cur else "current"
             print(f"bench_gate: note: row [{label}] only in {where}; skipped")
             continue
-        if not compare_absolute:
-            continue
         for field, direction in watched.items():
+            if field not in deterministic and not compare_measured:
+                continue
             b, c = base[key].get(field), cur[key].get(field)
             if b is None or c is None:
                 continue
             if direction == "lower" and field.endswith("_ms") and b < MIN_MS:
                 continue
-            if b <= 0:
+            if b > 0:
+                delta = (b - c) / b if direction == "higher" else (c - b) / b
+                limit = (args.latency_threshold if field in latency_fields
+                         else args.threshold)
+            elif field in deterministic:
+                # No relative band around zero: any move the bad way fails.
+                delta = float(c < b if direction == "higher" else c > b)
+                limit = 0.0
+            else:
                 continue
-            delta = (b - c) / b if direction == "higher" else (c - b) / b
-            limit = (args.latency_threshold if field in latency_fields
-                     else args.threshold)
             checked += 1
             if delta > limit:
                 regressions.append(
@@ -223,7 +234,7 @@ def main():
 
     # Hardware-independent floor: a parallel cold batch that loses to the
     # serial cold pass is the scaling bug this bench exists to catch — the
-    # ratio gates on every machine, including when absolute comparisons
+    # ratio gates on every machine, including when measured comparisons
     # were skipped above.
     if bench == "engine_throughput":
         for key, row in sorted(cur.items(), key=str):

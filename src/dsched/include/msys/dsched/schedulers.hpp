@@ -19,6 +19,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "msys/arch/m1.hpp"
@@ -28,6 +29,14 @@
 #include "msys/extract/analysis.hpp"
 
 namespace msys::dsched {
+
+/// The Figure-4 walk options the rung named `rung` plans with, before its
+/// RF and retained set are chosen: "Basic" releases nothing before its
+/// cluster ends; "DS+split" (the fallback chain's last rung) packs
+/// best-fit with splitting and no regularity hints; every other rung (DS,
+/// CDS, CDS+anneal) uses the §3/§5 defaults.  The schedulers plan with it
+/// and the result codec replays stored schedules with it.
+[[nodiscard]] DriverOptions rung_options(std::string_view rung);
 
 class DataSchedulerBase {
  public:

@@ -18,12 +18,7 @@ namespace {
 /// that the paper's first-fit policy loses to fragmentation.
 DataSchedule split_rung_schedule(const extract::ScheduleAnalysis& analysis,
                                  const arch::M1Config& cfg) {
-  DriverOptions options;
-  options.rf = 1;
-  options.release_at_last_use = true;
-  options.regularity_hints = false;
-  options.fit = alloc::FitPolicy::kBestFit;
-  options.allow_split = true;
+  const DriverOptions options = rung_options("DS+split");
   DriverResult result = plan_round(analysis, cfg.fb_set_size, options);
   if (!result.ok) {
     return infeasible("DS+split", analysis.sched(), result.fail_reason);

@@ -126,6 +126,18 @@ std::uint32_t pick_rf_by_cost(const ScheduleAnalysis& analysis, const arch::M1Co
 
 }  // namespace
 
+DriverOptions rung_options(std::string_view rung) {
+  DriverOptions options;
+  if (rung == "Basic") {
+    options.release_at_last_use = false;  // no replacement within a cluster
+  } else if (rung == "DS+split") {
+    options.regularity_hints = false;
+    options.fit = alloc::FitPolicy::kBestFit;
+    options.allow_split = true;
+  }
+  return options;
+}
+
 DataSchedule BasicScheduler::schedule(const ScheduleAnalysis& analysis,
                                       const arch::M1Config& cfg,
                                       const CancelToken& cancel) const {
@@ -134,9 +146,7 @@ DataSchedule BasicScheduler::schedule(const ScheduleAnalysis& analysis,
   if (cancel.cancelled()) {
     return cancelled_schedule(name(), analysis.sched(), cancel.reason());
   }
-  DriverOptions options;
-  options.rf = 1;
-  options.release_at_last_use = false;  // no replacement within a cluster
+  const DriverOptions options = rung_options(name());
   DriverResult result = plan_round(analysis, cfg.fb_set_size, options);
   if (!result.ok) return infeasible(name(), analysis.sched(), result.fail_reason);
   return finish(name(), analysis, options, std::move(result));
@@ -150,8 +160,7 @@ DataSchedule DataScheduler::schedule(const ScheduleAnalysis& analysis,
   if (cancel.cancelled()) {
     return cancelled_schedule(name(), analysis.sched(), cancel.reason());
   }
-  DriverOptions options;
-  options.release_at_last_use = true;
+  DriverOptions options = rung_options(name());
   PlanCache plans(analysis, cfg.fb_set_size);
   const std::uint32_t max_rf = compute_max_rf(analysis, cfg, options, plans, cancel);
   if (max_rf == 0) {
@@ -179,8 +188,7 @@ DataSchedule CompleteDataScheduler::schedule(const ScheduleAnalysis& analysis,
   if (cancel.cancelled()) {
     return cancelled_schedule(name(), analysis.sched(), cancel.reason());
   }
-  DriverOptions options;
-  options.release_at_last_use = true;
+  DriverOptions options = rung_options(name());
   PlanCache plans(analysis, cfg.fb_set_size);
   const std::uint32_t max_rf = compute_max_rf(analysis, cfg, options, plans, cancel);
   if (max_rf == 0) {

@@ -1,14 +1,14 @@
 // BatchRunner: fans a vector of compilation jobs across a ThreadPool
-// through the ScheduleCache and returns results in deterministic input
-// order, whatever order the workers finished in.
+// (engine::run_indexed) through the ScheduleCache and returns results in
+// deterministic input order, whatever order the workers finished in.
 //
 // Per-job failure is data: an infeasible (or internally erroring) job
 // yields a JobResult whose outcome carries diagnostics — one bad job never
 // aborts the batch.  The same convention covers the fault-tolerance paths:
 // a job whose per-job deadline expires yields a "schedule.timeout" result
-// (optionally retried, RunOptions::retries), and a job the pool refuses
-// (shutdown race) yields an "engine.pool.refused" result — both counted in
-// BatchStats, neither aborting the batch.  The runner also runs correctly
+// (optionally retried, RunOptions::retries), counted in BatchStats.  A job
+// the pool refuses (shutdown race) runs inline on the calling thread, so
+// it still gets its real result.  The runner also runs correctly
 // with no cache (every job computed) and with a pool of one thread (serial
 // semantics), which is how the determinism tests pin "parallel == serial".
 #pragma once
@@ -31,8 +31,8 @@ struct JobResult {
   std::shared_ptr<const CompiledResult> result;
   std::uint64_t key{0};
   bool cache_hit{false};
-  /// Which tier served the result (kCompute for a fresh compile, a
-  /// synthesized timeout, or a refused job).
+  /// Which tier served the result (kCompute for a fresh compile or a
+  /// synthesized timeout).
   CacheTier tier{CacheTier::kCompute};
   /// True when the persistent store's read retry budget was exhausted for
   /// this job (the result was recomputed, but the store is misbehaving —
@@ -88,8 +88,6 @@ struct BatchStats {
   std::size_t cancelled{0};
   /// Deadline re-attempts actually run (RunOptions::retries).
   std::size_t retries{0};
-  /// Jobs the pool refused at submit (answered with "engine.pool.refused").
-  std::size_t submit_refused{0};
   /// Jobs whose store read exhausted its retry budget (JobResult::
   /// store_degraded): each completed anyway, but the store is degraded.
   std::size_t store_faults{0};
@@ -131,8 +129,8 @@ class BatchRunner {
       : pool_(&pool), cache_(cache) {}
 
   /// Runs every job; results[i] always corresponds to jobs[i] and
-  /// results[i].result is never null — timeouts, cancellations and pool
-  /// refusals come back as structured per-job results.  Blocks until the
+  /// results[i].result is never null — timeouts and cancellations come
+  /// back as structured per-job results.  Blocks until the
   /// whole batch finished.  Thread-safe for the caller in the sense that
   /// concurrent run() calls on one runner share the pool and cache but
   /// keep their batches separate.  `stats`, when given, receives this

@@ -102,8 +102,4 @@ struct CompiledResult {
 [[nodiscard]] std::shared_ptr<const CompiledResult> make_cancelled_result(
     const Job& job, CancelCause cause);
 
-/// Synthesizes the structured result for a job the ThreadPool refused to
-/// accept (pool shutting down): one "engine.pool.refused" diagnostic.
-[[nodiscard]] std::shared_ptr<const CompiledResult> make_refused_result(const Job& job);
-
 }  // namespace msys::engine

@@ -1,11 +1,10 @@
 // Fixed-size worker pool with an MPMC job queue — the execution substrate
-// of the batch engine.
+// of the batch engine — and run_indexed, the one fan-out every caller uses
+// to spread indexed work across it.
 //
 // Design points (deliberately boring, in the best way):
 //   * submit() may be called from any thread, including from inside a
 //     running job (workers never block on the queue lock while executing).
-//   * wait_idle() blocks until the queue is empty AND no job is mid-flight,
-//     so "submit a wave, wait, read results" is race-free.
 //   * The destructor drains every *accepted* job, then joins; nothing
 //     accepted is silently dropped.  Once shutdown has begun, submit()
 //     rejects new work by returning false instead of throwing: a job that
@@ -17,9 +16,10 @@
 //     exception, so a throwing job terminates (callers wrap fallible work,
 //     e.g. engine::compile_job converts everything to data).
 //
-// Determinism contract: the pool makes no ordering promises — callers that
-// need deterministic output (BatchRunner, the fuzz campaign) index results
-// by input position and fold serially afterwards.
+// Determinism contract: the pool makes no ordering promises.  run_indexed
+// hands each job its input position, so callers that need deterministic
+// output (report::run_all, BatchRunner, the fuzz campaign, the annealer's
+// islands) write results by index and fold serially afterwards.
 #pragma once
 
 #include <condition_variable>
@@ -52,10 +52,6 @@ class ThreadPool {
   /// before ~ThreadPool starts.)
   bool submit(std::function<void()> job);
 
-  /// Blocks until every submitted job has finished (queue empty, no worker
-  /// mid-job).  Safe to call repeatedly; new submits restart the wait.
-  void wait_idle();
-
   [[nodiscard]] unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
   /// Deepest the queue has been over this pool's lifetime (an admission-
@@ -71,13 +67,22 @@ class ThreadPool {
   void worker_loop();
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;   // workers wait here for jobs
-  std::condition_variable idle_cv_;   // wait_idle waits here
+  std::condition_variable work_cv_;  // workers wait here for jobs
   std::deque<std::function<void()>> queue_;
-  std::size_t active_{0};
   std::size_t depth_peak_{0};
   bool stopping_{false};
   std::vector<std::thread> workers_;
 };
+
+/// Runs fn(i) exactly once for every i in [0, n) and returns when all n
+/// calls have finished.  With a null `pool` the calls run inline, in index
+/// order; otherwise each index is submitted to `pool`, and an index the
+/// pool refuses (it is shutting down) runs inline on the calling thread.
+/// Waits only for its own n jobs, so concurrent callers can share a pool;
+/// a job that fans out onto its own pool deadlocks once every worker waits
+/// in such a call.  An exception thrown by fn is held until all n calls
+/// finished; the lowest index's exception is then rethrown.
+void run_indexed(ThreadPool* pool, std::size_t n,
+                 const std::function<void(std::size_t)>& fn);
 
 }  // namespace msys::engine

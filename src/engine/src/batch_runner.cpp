@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
-#include <mutex>
 #include <sstream>
 
 #include "msys/common/error.hpp"
@@ -38,7 +36,6 @@ std::string BatchStats::summary() const {
   if (deadline_missed > 0) out << ", " << deadline_missed << " missed deadline";
   if (cancelled > 0) out << ", " << cancelled << " cancelled";
   if (retries > 0) out << ", " << retries << " retries";
-  if (submit_refused > 0) out << ", " << submit_refused << " refused";
   if (store_faults > 0) out << ", " << store_faults << " store faults";
   return out.str();
 }
@@ -50,17 +47,10 @@ std::vector<JobResult> BatchRunner::run(const std::vector<Job>& jobs,
   static obs::Counter& missed_counter = obs::counter("engine.jobs.deadline_missed");
   static obs::Counter& cancelled_counter = obs::counter("engine.jobs.cancelled");
   static obs::Counter& retry_counter = obs::counter("engine.retry.attempts");
-  static obs::Counter& refused_counter = obs::counter("engine.pool.submit_refused");
   const auto batch_start = std::chrono::steady_clock::now();
   std::vector<JobResult> results(jobs.size());
   std::vector<double> latency_ms(jobs.size(), 0.0);
   std::vector<std::uint32_t> retry_attempts(jobs.size(), 0);
-
-  // Per-batch completion latch: concurrent run() calls may share the pool,
-  // so pool.wait_idle() would over-wait; count down our own jobs instead.
-  std::mutex mu;
-  std::condition_variable done_cv;
-  std::size_t remaining = jobs.size();
 
   auto run_one = [this, &jobs, &results, &latency_ms, &retry_attempts,
                   &options](std::size_t i) {
@@ -106,34 +96,7 @@ std::vector<JobResult> BatchRunner::run(const std::vector<Job>& jobs,
     latency_ms[i] = ms_since(job_start);
   };
 
-  std::size_t accepted = 0;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const bool ok = pool_->submit([&run_one, &mu, &done_cv, &remaining, i] {
-      run_one(i);
-      std::lock_guard<std::mutex> lock(mu);
-      if (--remaining == 0) done_cv.notify_all();
-    });
-    if (!ok) break;
-    ++accepted;
-  }
-
-  // A refused submit means the pool is shutting down under us.  That used
-  // to abort the whole batch via MSYS_REQUIRE; now every refused job gets
-  // a structured "engine.pool.refused" result — counted, never silent.
-  for (std::size_t i = accepted; i < jobs.size(); ++i) {
-    results[i].key = cache_key(jobs[i]);
-    results[i].result = make_refused_result(jobs[i]);
-    results[i].tier = CacheTier::kCompute;
-    refused_counter.add();
-  }
-
-  {
-    // Wait for every *accepted* job even when a submit was refused:
-    // in-flight jobs reference this frame, so it must not unwind early.
-    std::unique_lock<std::mutex> lock(mu);
-    remaining -= jobs.size() - accepted;
-    done_cv.wait(lock, [&] { return remaining == 0; });
-  }
+  run_indexed(pool_, jobs.size(), run_one);
 
   std::size_t batch_timeouts = 0;
   std::size_t batch_cancelled = 0;
@@ -167,7 +130,6 @@ std::vector<JobResult> BatchRunner::run(const std::vector<Job>& jobs,
     stats->deadline_missed = batch_missed;
     stats->cancelled = batch_cancelled;
     stats->retries = batch_retries;
-    stats->submit_refused = jobs.size() - accepted;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       if (results[i].cache_hit) {
         ++stats->cache_hits;

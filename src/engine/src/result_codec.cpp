@@ -7,6 +7,7 @@
 #include "msys/csched/context_plan.hpp"
 #include "msys/dsched/alloc_driver.hpp"
 #include "msys/dsched/cost.hpp"
+#include "msys/dsched/schedulers.hpp"
 #include "msys/extract/analysis.hpp"
 
 namespace msys::engine {
@@ -68,23 +69,6 @@ struct Reader {
   }
 };
 
-/// The DriverOptions the winning rung ran with (beyond rf/retained, which
-/// the schedule records itself).  Encoded explicitly so decode needs no
-/// rung-name mapping.
-dsched::DriverOptions options_of(const dsched::DataSchedule& schedule) {
-  dsched::DriverOptions opts;
-  opts.rf = schedule.rf;
-  opts.retained = schedule.retained;
-  if (schedule.scheduler_name == "Basic") {
-    opts.release_at_last_use = false;
-  } else if (schedule.scheduler_name == "DS+split") {
-    opts.regularity_hints = false;
-    opts.fit = alloc::FitPolicy::kBestFit;
-    opts.allow_split = true;
-  }
-  return opts;
-}
-
 void encode_cost(Writer& w, const dsched::CostBreakdown& cost) {
   w.u8(cost.feasible ? 1 : 0);
   w.str(cost.infeasible_reason);
@@ -141,7 +125,10 @@ std::string encode_result(const CompiledResult& result) {
   w.str(schedule.scheduler_name);
   w.str(schedule.infeasible_reason);
   w.u64(schedule.rf);
-  const dsched::DriverOptions opts = options_of(schedule);
+  // The rung's walk options (beyond rf/retained, which the schedule
+  // records itself), encoded explicitly so decode needs no rung-name
+  // mapping.
+  const dsched::DriverOptions opts = dsched::rung_options(schedule.scheduler_name);
   w.u8(opts.release_at_last_use ? 1 : 0);
   w.u8(opts.regularity_hints ? 1 : 0);
   w.u8(static_cast<std::uint8_t>(opts.fit));

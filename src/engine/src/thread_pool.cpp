@@ -1,6 +1,7 @@
 #include "msys/engine/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <utility>
 
 #include "msys/obs/metrics.hpp"
@@ -13,9 +14,8 @@ namespace {
 /// resolved once; one relaxed store per sample afterwards).
 struct PoolMetrics {
   obs::Counter& submitted = obs::counter("engine.pool.jobs_submitted");
-  // Every refusal is counted here at the pool, whatever the caller does
-  // with the false return; BatchRunner additionally surfaces its own
-  // refusals in BatchStats::submit_refused and per-job results.
+  // Every refusal is counted here, once; run_indexed then runs the refused
+  // index inline.
   obs::Counter& rejected = obs::counter("engine.pool.submit_refused");
   obs::Counter& completed = obs::counter("engine.pool.jobs_completed");
   obs::Gauge& queue_depth = obs::gauge("engine.pool.queue_depth");
@@ -65,11 +65,6 @@ bool ThreadPool::submit(std::function<void()> job) {
   return true;
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
 std::size_t ThreadPool::queue_depth_peak() const {
   std::lock_guard<std::mutex> lock(mu_);
   return depth_peak_;
@@ -91,15 +86,52 @@ void ThreadPool::worker_loop() {
       job = std::move(queue_.front());
       queue_.pop_front();
       metrics.queue_depth.set(static_cast<std::int64_t>(queue_.size()));
-      ++active_;
     }
     job();
     metrics.completed.add();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
+  }
+}
+
+void run_indexed(ThreadPool* pool, std::size_t n,
+                 const std::function<void(std::size_t)>& fn) {
+  std::vector<std::exception_ptr> errors(n);
+  const auto run_one = [&fn, &errors](std::size_t i) {
+    try {
+      fn(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
     }
+  };
+  if (pool == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) run_one(i);
+  } else {
+    // A per-call latch, not a pool-wide wait: other callers' jobs on a
+    // shared pool are none of this call's business.
+    std::mutex mu;
+    std::condition_variable done_cv;
+    std::size_t remaining = n;
+    const auto finish_one = [&mu, &done_cv, &remaining] {
+      // Notify under the lock: the waiter may destroy `done_cv` as soon as
+      // it sees remaining == 0, which it can only do once this thread has
+      // released `mu`, i.e. after notify_all returned.
+      const std::lock_guard<std::mutex> lock(mu);
+      if (--remaining == 0) done_cv.notify_all();
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool accepted = pool->submit([&run_one, &finish_one, i] {
+        run_one(i);
+        finish_one();
+      });
+      if (!accepted) {
+        run_one(i);
+        finish_one();
+      }
+    }
+    std::unique_lock<std::mutex> lock(mu);
+    done_cv.wait(lock, [&remaining] { return remaining == 0; });
+  }
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
 }
 

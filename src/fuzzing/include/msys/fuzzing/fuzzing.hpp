@@ -9,8 +9,9 @@
 // extremes, and malformed texts that must die as parser diagnostics.
 //
 // run_case() pushes the case through all three schedulers plus the
-// CDS->DS->Basic->DS+split fallback chain and cross-checks every feasible
-// schedule three independent ways:
+// CDS->DS->Basic->DS+split fallback chain and puts every feasible schedule
+// through the schedule oracle (sim::check_schedule), which checks it three
+// independent ways:
 //   1. dsched::validate_schedule must report no violations,
 //   2. the event-driven simulator must complete without functional faults,
 //   3. dsched::predict_cost must agree with the simulator cycle-exactly

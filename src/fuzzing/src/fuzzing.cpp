@@ -10,7 +10,6 @@
 #include <unordered_set>
 
 #include "msys/appdsl/parser.hpp"
-#include "msys/codegen/program.hpp"
 #include "msys/common/cancel.hpp"
 #include "msys/common/error.hpp"
 #include "msys/common/rng.hpp"
@@ -18,10 +17,9 @@
 #include "msys/csched/context_plan.hpp"
 #include "msys/dsched/cost.hpp"
 #include "msys/dsched/fallback.hpp"
-#include "msys/dsched/validate.hpp"
 #include "msys/engine/schedule_cache.hpp"
 #include "msys/engine/thread_pool.hpp"
-#include "msys/sim/simulator.hpp"
+#include "msys/sim/check.hpp"
 #include "msys/store/disk_store.hpp"
 #include "msys/workloads/random.hpp"
 
@@ -150,43 +148,28 @@ FuzzCase make_case(std::uint64_t seed) {
 
 namespace {
 
-/// Cross-checks one feasible schedule three ways; returns the first broken
-/// check, if any.
+/// Puts one feasible schedule through the schedule oracle; returns the
+/// first broken check, if any.
 std::optional<CheckFailure> check_schedule(const dsched::DataSchedule& schedule,
                                            const extract::ScheduleAnalysis& analysis,
                                            const arch::M1Config& cfg,
                                            const csched::ContextPlan& ctx_plan) {
+  using Failure = sim::ScheduleCheck::Failure;
   const std::string who = schedule.scheduler_name;
-  // 1. Structural validation.
-  const Diagnostics violations = dsched::validate_schedule(schedule, analysis, cfg);
-  if (!violations.empty()) {
-    return CheckFailure{who, "validator", render(violations)};
+  const sim::ScheduleCheck check = sim::check_schedule(schedule, analysis, cfg, ctx_plan);
+  switch (check.failure) {
+    case Failure::kNone:
+      if (!check.predicted.feasible && check.predicted.infeasible_reason.empty()) {
+        return CheckFailure{who, "missing-diagnostic",
+                            "cost model reports infeasible without a reason"};
+      }
+      return std::nullopt;  // clean, or structured "does not run on this machine"
+    case Failure::kValidator:
+    case Failure::kSimulator:
+      return CheckFailure{who, to_string(check.failure), render(check.diagnostics)};
+    default:
+      return CheckFailure{who, "cost-mismatch", check.comparison()};
   }
-  // 2/3. Cost model vs event simulator, cycle- and word-exact.
-  const dsched::CostBreakdown predicted = dsched::predict_cost(schedule, cfg, ctx_plan);
-  if (!predicted.feasible) {
-    if (predicted.infeasible_reason.empty()) {
-      return CheckFailure{who, "missing-diagnostic",
-                          "cost model reports infeasible without a reason"};
-    }
-    return std::nullopt;  // structured "does not run on this machine"
-  }
-  const codegen::ScheduleProgram program = codegen::generate(schedule, ctx_plan);
-  sim::Simulator simulator(cfg, ctx_plan);
-  sim::Simulator::Outcome sim_outcome = simulator.try_run(program);
-  if (!sim_outcome.ok()) {
-    return CheckFailure{who, "simulator", render(sim_outcome.diagnostics)};
-  }
-  const sim::SimReport& m = *sim_outcome.report;
-  std::ostringstream why;
-  why << "predicted " << predicted.summary() << " vs measured " << m.summary();
-  if (predicted.total != m.total || predicted.data_words_loaded != m.data_words_loaded ||
-      predicted.data_words_stored != m.data_words_stored ||
-      predicted.context_words != m.context_words ||
-      predicted.dma_requests != m.dma_requests) {
-    return CheckFailure{who, "cost-mismatch", why.str()};
-  }
-  return std::nullopt;
 }
 
 }  // namespace
@@ -582,24 +565,13 @@ CampaignStats run_campaign(std::uint64_t base_seed, std::uint64_t n_cases,
     });
   }
 
-  if (options.n_threads <= 1) {
-    for (std::size_t i = 0; i < cases.size(); ++i) {
-      results[i] = run_case(cases[i]);
-      completed.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else {
-    engine::ThreadPool pool(options.n_threads);
-    for (std::size_t i = 0; i < cases.size(); ++i) {
-      // The pool is local and alive, so submit cannot be rejected; assert
-      // rather than silently leave results[i] default-initialised.
-      const bool accepted = pool.submit([&cases, &results, &completed, i] {
-        results[i] = run_case(cases[i]);
-        completed.fetch_add(1, std::memory_order_relaxed);
-      });
-      MSYS_REQUIRE(accepted, "fuzz campaign pool rejected a job");
-    }
-    pool.wait_idle();
-  }
+  const std::unique_ptr<engine::ThreadPool> pool =
+      options.n_threads > 1 ? std::make_unique<engine::ThreadPool>(options.n_threads)
+                            : nullptr;
+  engine::run_indexed(pool.get(), cases.size(), [&](std::size_t i) {
+    results[i] = run_case(cases[i]);
+    completed.fetch_add(1, std::memory_order_relaxed);
+  });
   if (sampling) {
     phase1_done.store(true, std::memory_order_release);
     sampler.join();

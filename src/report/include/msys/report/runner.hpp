@@ -1,7 +1,8 @@
 // Experiment runner: pushes one (application, kernel schedule, machine)
-// triple through all three data schedulers, generates code, executes it on
-// the simulator, cross-checks the analytic cost model against the measured
-// cycles, and derives the metrics Table 1 / Figure 6 report.
+// triple through all three data schedulers, puts every feasible schedule
+// through the schedule oracle (sim::check_schedule: validator, generated
+// code on the simulator, prediction == measurement), and derives the
+// metrics Table 1 / Figure 6 report.
 #pragma once
 
 #include <optional>
@@ -57,25 +58,17 @@ struct ExperimentResult {
   [[nodiscard]] std::uint32_t rf() const { return cds.schedule.rf; }
 };
 
-struct RunOptions {
-  /// Assert cycle-exact agreement between predict_cost and the simulator
-  /// (on by default; the ablation benches disable it when comparing
-  /// deliberately non-paper policies).
-  bool check_prediction{true};
-};
-
 /// Runs Basic, DS and CDS on the experiment.  Throws msys::Error on any
-/// simulator functional violation or prediction mismatch.
+/// check the oracle finds broken (validator violation, simulator
+/// functional violation, prediction mismatch).
 [[nodiscard]] ExperimentResult run_experiment(std::string name,
                                               const model::KernelSchedule& sched,
-                                              const arch::M1Config& cfg,
-                                              const RunOptions& options = {});
+                                              const arch::M1Config& cfg);
 
 /// Runs one specific scheduler end to end (used by ablations).
 [[nodiscard]] SchedulerOutcome run_scheduler(const dsched::DataSchedulerBase& scheduler,
                                              const model::KernelSchedule& sched,
-                                             const arch::M1Config& cfg,
-                                             const RunOptions& options = {});
+                                             const arch::M1Config& cfg);
 
 /// End-to-end run of the CDS -> DS -> Basic -> DS+split degradation chain:
 /// schedules via dsched::schedule_with_fallback, then (when a rung fits)
@@ -95,8 +88,7 @@ struct FallbackRunResult {
 };
 
 [[nodiscard]] FallbackRunResult run_with_fallback(const model::KernelSchedule& sched,
-                                                  const arch::M1Config& cfg,
-                                                  const RunOptions& options = {});
+                                                  const arch::M1Config& cfg);
 
 /// One experiment of a run_all batch.  `sched` is non-owning; the caller's
 /// experiment objects must outlive the call (the Table-1/Fig-6 benches
@@ -107,17 +99,12 @@ struct ExperimentSpec {
   arch::M1Config cfg;
 };
 
-/// Runs every spec through run_experiment, in order.
-[[nodiscard]] std::vector<ExperimentResult> run_all(
-    const std::vector<ExperimentSpec>& specs, const RunOptions& options = {});
-
-/// Parallel overload: fans the specs across `pool`, returning results in
-/// spec order regardless of completion order (results are deterministic —
-/// identical to the serial overload).  A spec that fails run_experiment's
-/// internal invariants rethrows after the batch drains, earliest spec
-/// first, exactly as the serial loop would have thrown it.
-[[nodiscard]] std::vector<ExperimentResult> run_all(
-    const std::vector<ExperimentSpec>& specs, engine::ThreadPool& pool,
-    const RunOptions& options = {});
+/// Runs every spec through run_experiment, fanned across `pool` by
+/// engine::run_indexed (inline, in spec order, when `pool` is null).
+/// Results come back in spec order whatever the worker count; a spec that
+/// fails run_experiment's invariants rethrows once the batch drained,
+/// earliest spec first, as a serial loop would have thrown it.
+[[nodiscard]] std::vector<ExperimentResult> run_all(const std::vector<ExperimentSpec>& specs,
+                                                    engine::ThreadPool* pool = nullptr);
 
 }  // namespace msys::report

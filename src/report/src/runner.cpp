@@ -1,15 +1,10 @@
 #include "msys/report/runner.hpp"
 
-#include <condition_variable>
-#include <exception>
-#include <mutex>
-#include <sstream>
 #include <utility>
 
-#include "msys/codegen/program.hpp"
 #include "msys/common/error.hpp"
-#include "msys/dsched/validate.hpp"
 #include "msys/extract/analysis.hpp"
+#include "msys/sim/check.hpp"
 
 namespace msys::report {
 
@@ -40,9 +35,31 @@ SizeWords ExperimentResult::dt_words_avoided_per_iteration() const {
   return SizeWords{(b > c ? b - c : 0) / iterations};
 }
 
+namespace {
+
+/// What run_scheduler and run_with_fallback share: the schedule oracle,
+/// with any broken check thrown as msys::Error.  `who` names the plan.
+sim::ScheduleCheck checked(const dsched::DataSchedule& schedule,
+                           const extract::ScheduleAnalysis& analysis,
+                           const arch::M1Config& cfg, const csched::ContextPlan& ctx_plan,
+                           const std::string& who) {
+  using Failure = sim::ScheduleCheck::Failure;
+  sim::ScheduleCheck check = sim::check_schedule(schedule, analysis, cfg, ctx_plan);
+  MSYS_REQUIRE(check.failure != Failure::kValidator,
+               who + " produced an invalid plan: " + check.diagnostics.front().message);
+  // A simulator fault carries the simulator's own located message.
+  if (check.failure == Failure::kSimulator) raise(check.diagnostics.front().message);
+  MSYS_REQUIRE(check.failure == Failure::kNone,
+               to_string(check.failure) + ": " + who + " on " +
+                   analysis.sched().app().name() + ": " + check.comparison());
+  return check;
+}
+
+}  // namespace
+
 SchedulerOutcome run_scheduler(const dsched::DataSchedulerBase& scheduler,
                                const model::KernelSchedule& sched,
-                               const arch::M1Config& cfg, const RunOptions& options) {
+                               const arch::M1Config& cfg) {
   const extract::ScheduleAnalysis analysis(sched, cfg.cross_set_reads);
   const csched::ContextPlan ctx_plan =
       csched::ContextPlan::build(sched, cfg.cm_capacity_words);
@@ -50,40 +67,15 @@ SchedulerOutcome run_scheduler(const dsched::DataSchedulerBase& scheduler,
   SchedulerOutcome outcome;
   outcome.scheduler = scheduler.name();
   outcome.schedule = scheduler.schedule(analysis, cfg);
-  outcome.predicted = dsched::predict_cost(outcome.schedule, cfg, ctx_plan);
-  if (!outcome.feasible()) return outcome;
-
-  // Structural validation of the plan itself (the simulator then checks
-  // the generated program operationally).
-  const Diagnostics violations =
-      dsched::validate_schedule(outcome.schedule, analysis, cfg);
-  MSYS_REQUIRE(violations.empty(), scheduler.name() + " produced an invalid plan: " +
-                                       violations.front().message);
-
-  const codegen::ScheduleProgram program = codegen::generate(outcome.schedule, ctx_plan);
-  sim::Simulator simulator(cfg, ctx_plan);
-  outcome.measured = simulator.run(program);
-
-  if (options.check_prediction) {
-    const sim::SimReport& m = *outcome.measured;
-    const dsched::CostBreakdown& p = outcome.predicted;
-    std::ostringstream why;
-    why << scheduler.name() << " on " << sched.app().name() << ": predicted "
-        << p.summary() << " vs measured " << m.summary();
-    MSYS_REQUIRE(p.total == m.total, "cycle mismatch: " + why.str());
-    MSYS_REQUIRE(p.data_words_loaded == m.data_words_loaded,
-                 "load-word mismatch: " + why.str());
-    MSYS_REQUIRE(p.data_words_stored == m.data_words_stored,
-                 "store-word mismatch: " + why.str());
-    MSYS_REQUIRE(p.context_words == m.context_words, "context-word mismatch: " + why.str());
-    MSYS_REQUIRE(p.dma_requests == m.dma_requests, "request-count mismatch: " + why.str());
-  }
+  sim::ScheduleCheck check =
+      checked(outcome.schedule, analysis, cfg, ctx_plan, scheduler.name());
+  outcome.predicted = std::move(check.predicted);
+  outcome.measured = std::move(check.measured);
   return outcome;
 }
 
 FallbackRunResult run_with_fallback(const model::KernelSchedule& sched,
-                                    const arch::M1Config& cfg,
-                                    const RunOptions& options) {
+                                    const arch::M1Config& cfg) {
   const extract::ScheduleAnalysis analysis(sched, cfg.cross_set_reads);
   const csched::ContextPlan ctx_plan =
       csched::ContextPlan::build(sched, cfg.cm_capacity_words);
@@ -91,41 +83,15 @@ FallbackRunResult run_with_fallback(const model::KernelSchedule& sched,
   FallbackRunResult result;
   result.outcome = dsched::schedule_with_fallback(analysis, cfg);
   if (!result.outcome.feasible()) return result;
-
-  result.predicted = dsched::predict_cost(result.outcome.schedule, cfg, ctx_plan);
-  if (!result.predicted.feasible) return result;
-
-  const Diagnostics violations =
-      dsched::validate_schedule(result.outcome.schedule, analysis, cfg);
-  MSYS_REQUIRE(violations.empty(),
-               result.outcome.chosen_rung() + " (via fallback) produced an invalid plan: " +
-                   violations.front().message);
-
-  const codegen::ScheduleProgram program =
-      codegen::generate(result.outcome.schedule, ctx_plan);
-  sim::Simulator simulator(cfg, ctx_plan);
-  result.measured = simulator.run(program);
-
-  if (options.check_prediction) {
-    const sim::SimReport& m = *result.measured;
-    const dsched::CostBreakdown& p = result.predicted;
-    std::ostringstream why;
-    why << result.outcome.chosen_rung() << " (via fallback) on " << sched.app().name()
-        << ": predicted " << p.summary() << " vs measured " << m.summary();
-    MSYS_REQUIRE(p.total == m.total, "cycle mismatch: " + why.str());
-    MSYS_REQUIRE(p.data_words_loaded == m.data_words_loaded,
-                 "load-word mismatch: " + why.str());
-    MSYS_REQUIRE(p.data_words_stored == m.data_words_stored,
-                 "store-word mismatch: " + why.str());
-    MSYS_REQUIRE(p.context_words == m.context_words,
-                 "context-word mismatch: " + why.str());
-    MSYS_REQUIRE(p.dma_requests == m.dma_requests, "request-count mismatch: " + why.str());
-  }
+  sim::ScheduleCheck check = checked(result.outcome.schedule, analysis, cfg, ctx_plan,
+                                     result.outcome.chosen_rung() + " (via fallback)");
+  result.predicted = std::move(check.predicted);
+  result.measured = std::move(check.measured);
   return result;
 }
 
 ExperimentResult run_experiment(std::string name, const model::KernelSchedule& sched,
-                                const arch::M1Config& cfg, const RunOptions& options) {
+                                const arch::M1Config& cfg) {
   ExperimentResult result;
   result.name = std::move(name);
   result.cfg = cfg;
@@ -134,62 +100,20 @@ ExperimentResult run_experiment(std::string name, const model::KernelSchedule& s
   result.total_iterations = sched.app().total_iterations();
   result.data_size_per_iteration = sched.app().total_data_size();
 
-  result.basic = run_scheduler(dsched::BasicScheduler{}, sched, cfg, options);
-  result.ds = run_scheduler(dsched::DataScheduler{}, sched, cfg, options);
-  result.cds = run_scheduler(dsched::CompleteDataScheduler{}, sched, cfg, options);
+  result.basic = run_scheduler(dsched::BasicScheduler{}, sched, cfg);
+  result.ds = run_scheduler(dsched::DataScheduler{}, sched, cfg);
+  result.cds = run_scheduler(dsched::CompleteDataScheduler{}, sched, cfg);
   return result;
 }
 
 std::vector<ExperimentResult> run_all(const std::vector<ExperimentSpec>& specs,
-                                      const RunOptions& options) {
-  std::vector<ExperimentResult> results;
-  results.reserve(specs.size());
-  for (const ExperimentSpec& spec : specs) {
-    MSYS_REQUIRE(spec.sched != nullptr, "ExperimentSpec without a schedule");
-    results.push_back(run_experiment(spec.name, *spec.sched, spec.cfg, options));
-  }
-  return results;
-}
-
-std::vector<ExperimentResult> run_all(const std::vector<ExperimentSpec>& specs,
-                                      engine::ThreadPool& pool,
-                                      const RunOptions& options) {
+                                      engine::ThreadPool* pool) {
   std::vector<ExperimentResult> results(specs.size());
-  std::vector<std::exception_ptr> errors(specs.size());
-
-  std::mutex mu;
-  std::condition_variable done_cv;
-  std::size_t remaining = specs.size();
-
-  std::size_t accepted = 0;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const bool ok = pool.submit([&, i] {
-      try {
-        const ExperimentSpec& spec = specs[i];
-        MSYS_REQUIRE(spec.sched != nullptr, "ExperimentSpec without a schedule");
-        results[i] = run_experiment(spec.name, *spec.sched, spec.cfg, options);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      if (--remaining == 0) done_cv.notify_all();
-    });
-    if (!ok) break;
-    ++accepted;
-  }
-  {
-    // Drain the accepted jobs before any throw below: in-flight jobs
-    // reference this frame.
-    std::unique_lock<std::mutex> lock(mu);
-    remaining -= specs.size() - accepted;
-    done_cv.wait(lock, [&] { return remaining == 0; });
-  }
-  MSYS_REQUIRE(accepted == specs.size(),
-               "run_all on a ThreadPool that is shutting down");
-  // Rethrow in spec order so parallel failures read like serial ones.
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  engine::run_indexed(pool, specs.size(), [&](std::size_t i) {
+    const ExperimentSpec& spec = specs[i];
+    MSYS_REQUIRE(spec.sched != nullptr, "ExperimentSpec without a schedule");
+    results[i] = run_experiment(spec.name, *spec.sched, spec.cfg);
+  });
   return results;
 }
 

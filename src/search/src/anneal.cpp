@@ -2,21 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <condition_variable>
-#include <exception>
 #include <map>
-#include <mutex>
 #include <utility>
 
-#include "msys/codegen/program.hpp"
 #include "msys/common/error.hpp"
 #include "msys/common/rng.hpp"
 #include "msys/csched/context_plan.hpp"
 #include "msys/dsched/plan_cache.hpp"
-#include "msys/dsched/validate.hpp"
 #include "msys/obs/metrics.hpp"
 #include "msys/obs/trace.hpp"
-#include "msys/sim/simulator.hpp"
+#include "msys/sim/check.hpp"
 
 namespace msys::search {
 
@@ -408,27 +403,14 @@ class Island {
 
  public:
   /// The simulator cross-check: an accepted improvement only becomes the
-  /// island best when the structural validator is clean, code generation
-  /// succeeds, and the simulator's measured cycles/words/requests equal
-  /// the analytic prediction exactly.
+  /// island best when the schedule oracle finds it clean and its predicted
+  /// cycles are the ones the search costed.
   bool verify_in_simulator(PartitionContext& ctx, const Skeleton& sk,
                            std::uint64_t predicted_cycles) {
     MSYS_TRACE_SPAN(span, "search.verify", "search");
-    const dsched::DataSchedule schedule = pack(ctx, sk);
-    const Diagnostics violations = dsched::validate_schedule(schedule, *ctx.analysis, cfg_);
-    if (!violations.empty()) return false;
-    const dsched::CostBreakdown predicted =
-        dsched::predict_cost(schedule, cfg_, ctx.ctx_plan);
-    if (!predicted.feasible || predicted.total.value() != predicted_cycles) return false;
-    const codegen::ScheduleProgram program = codegen::generate(schedule, ctx.ctx_plan);
-    sim::Simulator simulator(cfg_, ctx.ctx_plan);
-    const sim::Simulator::Outcome outcome = simulator.try_run(program);
-    if (!outcome.ok()) return false;
-    const sim::SimReport& m = *outcome.report;
-    return m.total == predicted.total && m.data_words_loaded == predicted.data_words_loaded &&
-           m.data_words_stored == predicted.data_words_stored &&
-           m.context_words == predicted.context_words &&
-           m.dma_requests == predicted.dma_requests;
+    const sim::ScheduleCheck check =
+        sim::check_schedule(pack(ctx, sk), *ctx.analysis, cfg_, ctx.ctx_plan);
+    return check.ok() && check.predicted.total.value() == predicted_cycles;
   }
 
  private:
@@ -476,48 +458,15 @@ AnnealResult anneal_schedule(const ScheduleAnalysis& analysis, const arch::M1Con
 
   const std::uint32_t n_islands = std::max(options.islands, 1U);
   std::vector<IslandOutcome> outcomes(n_islands);
-  std::vector<std::exception_ptr> errors(n_islands);
 
   // Each island is a pure function of (options, analysis, cfg, island
   // index); outcomes land at their island's slot, so the merged result is
   // independent of pool size and scheduling.
-  auto run_island = [&](std::uint32_t i) {
-    try {
-      Island island(i, analysis, cfg, options, start, greedy_cycles, cancel);
-      outcomes[i] = island.run();
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  };
-
-  if (pool == nullptr || pool->size() <= 1 || n_islands == 1) {
-    for (std::uint32_t i = 0; i < n_islands; ++i) run_island(i);
-  } else {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::uint32_t done = 0;
-    for (std::uint32_t i = 0; i < n_islands; ++i) {
-      const bool submitted = pool->submit([&, i] {
-        run_island(i);
-        // Notify under the lock: the waiter may destroy `cv` the moment it
-        // observes done == n_islands, which it can only do after this
-        // thread has released `mu` — i.e. after notify_all returned.
-        const std::lock_guard<std::mutex> lock(mu);
-        ++done;
-        cv.notify_all();
-      });
-      if (!submitted) {  // pool shutting down: fall back inline
-        run_island(i);
-        const std::lock_guard<std::mutex> lock(mu);
-        ++done;
-      }
-    }
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return done == n_islands; });
-  }
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  engine::run_indexed(pool, n_islands, [&](std::size_t i) {
+    Island island(static_cast<std::uint32_t>(i), analysis, cfg, options, start,
+                  greedy_cycles, cancel);
+    outcomes[i] = island.run();
+  });
 
   // Deterministic merge: strictly fewer predicted cycles wins; ties go to
   // the lowest island index.

@@ -1,9 +1,10 @@
 // Engine fault tolerance: per-job deadlines and cancellation as
 // structured data, the single-flight waiter/winner split under timeout,
 // the persistent store tier (cold save, warm disk hit, corruption
-// quarantine), and pool-refusal accounting in BatchStats.
+// quarantine), and batches that outlive their pool's shutdown.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
@@ -293,16 +294,31 @@ TEST_F(EngineFaultTest, CancelledResultsAreNeverPersisted) {
   EXPECT_EQ(config.store->stats().saves, 0u);
 }
 
-TEST_F(EngineFaultTest, RefusedSubmitsBecomeStructuredResultsNotAborts) {
-  // A refusal only occurs in the narrow window while a pool shuts down, so
-  // assert the refused-result contract directly rather than racing one.
-  const Job job = retention_job();
-  const auto refused = make_refused_result(job);
-  ASSERT_NE(refused, nullptr);
-  EXPECT_FALSE(refused->feasible());
-  ASSERT_FALSE(refused->outcome.diagnostics.empty());
-  EXPECT_EQ(refused->outcome.diagnostics.front().code, "engine.pool.refused");
-  EXPECT_FALSE(refused->outcome.cancelled());
+TEST_F(EngineFaultTest, RefusedSubmitsRunInlineAndCompleteTheBatch) {
+  // A batch started from a job while its pool shuts down: every submit is
+  // refused, so every job runs inline and still gets its real result.
+  const std::vector<Job> jobs(3, retention_job());
+  std::vector<JobResult> results;
+  BatchStats stats;
+  std::atomic<bool> started{false};
+  {
+    ThreadPool pool(1);
+    BatchRunner runner(pool);
+    pool.submit([&] {
+      started = true;
+      while (pool.submit([] {})) std::this_thread::yield();  // destructor began
+      results = runner.run(jobs, &stats);
+    });
+    while (!started.load()) std::this_thread::yield();
+  }
+  ASSERT_EQ(results.size(), jobs.size());
+  for (const JobResult& r : results) {
+    ASSERT_NE(r.result, nullptr);
+    EXPECT_TRUE(r.feasible());
+    EXPECT_EQ(r.result->outcome.chosen_rung(), "CDS");
+  }
+  EXPECT_EQ(stats.jobs, jobs.size());
+  EXPECT_EQ(stats.infeasible, 0u);
 }
 
 }  // namespace

@@ -11,7 +11,10 @@
 #include <string>
 #include <vector>
 
+#include "msys/appdsl/parser.hpp"
 #include "msys/fuzzing/fuzzing.hpp"
+#include "msys/report/runner.hpp"
+#include "msys/search/anneal.hpp"
 
 namespace msys::fuzzing {
 namespace {
@@ -64,6 +67,38 @@ TEST(FuzzCorpus, CoversBothFailureModes) {
   }
   EXPECT_TRUE(saw_parse_reject);
   EXPECT_TRUE(saw_infeasible);
+}
+
+// Every caller of the schedule oracle reaches the same verdict on every
+// repro: the fuzz harness finds nothing, the report runner neither throws
+// nor disagrees with the harness about feasibility, and the annealer's
+// winner passes its simulator verification.
+TEST(FuzzCorpus, EveryOracleCallerAgrees) {
+  for (const fs::path& path : corpus_files()) {
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    const std::string name = path.filename().string();
+    const CaseResult r = run_case(FuzzCase{name, 0, text.str()});
+    EXPECT_TRUE(r.clean()) << name;
+    appdsl::ParseResult parsed = appdsl::parse_collect(text.str(), name);
+    if (!parsed.ok() || parsed.experiment->partition.empty()) continue;
+    const model::KernelSchedule sched = parsed.experiment->schedule();
+    const arch::M1Config& cfg = parsed.experiment->cfg;
+
+    const report::FallbackRunResult run = report::run_with_fallback(sched, cfg);
+    EXPECT_EQ(run.feasible(), r.fallback_feasible) << name;
+    if (run.feasible()) {
+      ASSERT_TRUE(run.measured.has_value()) << name;
+      EXPECT_EQ(run.measured->total.value(), r.fallback_total_cycles) << name;
+    }
+    EXPECT_NO_THROW((void)report::run_experiment(name, sched, cfg)) << name;
+
+    search::AnnealOptions options;
+    options.budget = 32;
+    const extract::ScheduleAnalysis analysis(sched, cfg.cross_set_reads);
+    EXPECT_NO_THROW((void)search::anneal_schedule(analysis, cfg, options)) << name;
+  }
 }
 
 }  // namespace

@@ -49,15 +49,10 @@ TEST(ChaosTest, SevenCasesCoverEveryFaultClass) {
 }
 
 TEST(ChaosTest, FullCampaignUpholdsEveryInvariant) {
-  // The acceptance-bar campaign: 200 seeded cases (MSYS_CHAOS_CASES
-  // overrides for slow sanitizer machines, never below the 7-class wrap).
+  // The acceptance-bar campaign: 200 seeded cases.
   ChaosOptions options;
   options.base_seed = 1;
   options.cases = 200;
-  if (const char* env = std::getenv("MSYS_CHAOS_CASES")) {
-    const long n = std::atol(env);
-    if (n >= 7) options.cases = static_cast<std::size_t>(n);
-  }
   const fs::path scratch =
       fs::temp_directory_path() / "msys_chaos_test" / "campaign";
   fs::remove_all(scratch);
