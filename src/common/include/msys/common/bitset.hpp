@@ -14,10 +14,16 @@
 // Ids are dense and small (they index the owning container's vectors), so
 // kInlineWords words of inline storage cover every real workload; larger
 // universes spill to the heap transparently.
+//
+// The range operations at the end work on a plain array of words instead:
+// the simulator keeps one bit per Frame Buffer word and marks or tests a
+// whole extent at a time, a word op per 64 FB words.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "msys/common/error.hpp"
@@ -212,6 +218,54 @@ class IdSet {
 template <class IdT>
 inline void hash_append(Hasher& h, const IdSet<IdT>& s) {
   hash_append(h, s.bits());
+}
+
+// ---------------------------------------------------------------------------
+// Bit ranges over a word array: bit i is bit (i % 64) of words[i / 64].
+// Each function covers the half-open range [begin, end); an empty range
+// touches nothing.  The caller keeps `end` within the array.
+// ---------------------------------------------------------------------------
+
+namespace detail {
+
+/// The bits of word `w` that fall inside [begin, end); needs begin < end
+/// and the word to overlap the range.
+[[nodiscard]] constexpr std::uint64_t range_mask(std::uint64_t w, std::uint64_t begin,
+                                                 std::uint64_t end) {
+  const std::uint64_t base = w * 64;
+  const std::uint64_t from = std::max(begin, base) - base;     // 0..63
+  const std::uint64_t to = std::min(end, base + 64) - base;    // 1..64
+  const std::uint64_t below_to = to == 64 ? ~0ULL : (1ULL << to) - 1;
+  return below_to & ~((1ULL << from) - 1);
+}
+
+}  // namespace detail
+
+/// True when any bit in [begin, end) is set.
+[[nodiscard]] inline bool any_in_range(std::span<const std::uint64_t> words,
+                                       std::uint64_t begin, std::uint64_t end) {
+  if (begin >= end) return false;
+  for (std::uint64_t w = begin / 64; w <= (end - 1) / 64; ++w) {
+    if ((words[w] & detail::range_mask(w, begin, end)) != 0) return true;
+  }
+  return false;
+}
+
+/// Sets every bit in [begin, end).
+inline void set_range(std::span<std::uint64_t> words, std::uint64_t begin, std::uint64_t end) {
+  if (begin >= end) return;
+  for (std::uint64_t w = begin / 64; w <= (end - 1) / 64; ++w) {
+    words[w] |= detail::range_mask(w, begin, end);
+  }
+}
+
+/// Clears every bit in [begin, end).
+inline void clear_range(std::span<std::uint64_t> words, std::uint64_t begin,
+                        std::uint64_t end) {
+  if (begin >= end) return;
+  for (std::uint64_t w = begin / 64; w <= (end - 1) / 64; ++w) {
+    words[w] &= ~detail::range_mask(w, begin, end);
+  }
 }
 
 }  // namespace msys

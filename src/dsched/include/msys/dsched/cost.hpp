@@ -7,6 +7,7 @@
 //   IN(0), then per slot s: prefetch IN(s+1) when cluster s+1 lives on the
 //   other FB set, else IN(s+1) must wait until after ST(s) (the set is
 //   still occupied); stores ST(s) queue when slot s's execution finishes.
+//   A slot with no stores has no ST(s): the channel never waits for it.
 //
 // where IN(s) = context loads + data loads of slot s and ST(s) = its
 // result stores.  Execution of slot s starts when slot s-1 finished and

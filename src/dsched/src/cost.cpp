@@ -209,7 +209,9 @@ CostBreakdown predict_cost(const model::KernelSchedule& sched, std::uint32_t rf,
       in_done[s] = start + slots[s].late_load_cycles;
       dma_t = in_done[s];
       finish_exec(s);
-    } else {
+    } else if (slots[s].store_cycles.value() > 0) {
+      // A slot that stores nothing emits no store op, so the channel does
+      // not wait for its execution.
       const Cycles start = std::max(dma_t, exec_done[s]);
       dma_t = start + slots[s].store_cycles;
     }

@@ -15,7 +15,6 @@
 #include "msys/common/rng.hpp"
 #include "msys/common/shrink.hpp"
 #include "msys/csched/context_plan.hpp"
-#include "msys/dsched/cost.hpp"
 #include "msys/dsched/fallback.hpp"
 #include "msys/engine/schedule_cache.hpp"
 #include "msys/engine/thread_pool.hpp"
@@ -148,27 +147,21 @@ FuzzCase make_case(std::uint64_t seed) {
 
 namespace {
 
-/// Puts one feasible schedule through the schedule oracle; returns the
-/// first broken check, if any.
-std::optional<CheckFailure> check_schedule(const dsched::DataSchedule& schedule,
-                                           const extract::ScheduleAnalysis& analysis,
-                                           const arch::M1Config& cfg,
-                                           const csched::ContextPlan& ctx_plan) {
+/// The first broken check of one schedule oracle run, if any.
+std::optional<CheckFailure> first_failure(std::string who, const sim::ScheduleCheck& check) {
   using Failure = sim::ScheduleCheck::Failure;
-  const std::string who = schedule.scheduler_name;
-  const sim::ScheduleCheck check = sim::check_schedule(schedule, analysis, cfg, ctx_plan);
   switch (check.failure) {
     case Failure::kNone:
       if (!check.predicted.feasible && check.predicted.infeasible_reason.empty()) {
-        return CheckFailure{who, "missing-diagnostic",
+        return CheckFailure{std::move(who), "missing-diagnostic",
                             "cost model reports infeasible without a reason"};
       }
       return std::nullopt;  // clean, or structured "does not run on this machine"
     case Failure::kValidator:
     case Failure::kSimulator:
-      return CheckFailure{who, to_string(check.failure), render(check.diagnostics)};
+      return CheckFailure{std::move(who), to_string(check.failure), render(check.diagnostics)};
     default:
-      return CheckFailure{who, "cost-mismatch", check.comparison()};
+      return CheckFailure{std::move(who), "cost-mismatch", check.comparison()};
   }
 }
 
@@ -209,7 +202,8 @@ CaseResult run_case(const FuzzCase& c) {
         }
         ++result.feasible_schedulers;
         if (std::optional<CheckFailure> failure =
-                check_schedule(schedule, analysis, cfg, ctx_plan)) {
+                first_failure(schedule.scheduler_name,
+                              sim::check_schedule(schedule, analysis, cfg, ctx_plan))) {
           result.failures.push_back(std::move(*failure));
         }
       } catch (const std::exception& e) {
@@ -229,14 +223,13 @@ CaseResult run_case(const FuzzCase& c) {
       }
     }
     if (outcome.feasible()) {
+      const sim::ScheduleCheck check =
+          sim::check_schedule(outcome.schedule, analysis, cfg, ctx_plan);
       if (std::optional<CheckFailure> failure =
-              check_schedule(outcome.schedule, analysis, cfg, ctx_plan)) {
-        failure->scheduler = "fallback/" + failure->scheduler;
+              first_failure("fallback/" + outcome.schedule.scheduler_name, check)) {
         result.failures.push_back(std::move(*failure));
       }
-      const dsched::CostBreakdown predicted =
-          dsched::predict_cost(outcome.schedule, cfg, ctx_plan);
-      if (predicted.feasible) result.fallback_total_cycles = predicted.total.value();
+      if (check.predicted.feasible) result.fallback_total_cycles = check.predicted.total.value();
     } else {
       result.infeasibility = outcome.diagnostics;
       if (!has_errors(outcome.diagnostics)) {

@@ -1,12 +1,11 @@
 #include "msys/sim/simulator.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "msys/common/bitset.hpp"
 #include "msys/common/error.hpp"
 #include "msys/dsched/schedule_types.hpp"
 #include "msys/obs/metrics.hpp"
@@ -32,48 +31,52 @@ struct TimedOp {
   Cycles end{};
 };
 
-/// Functional FB-set state: which words are occupied by which instance.
+/// Functional FB-set state: one occupancy bit per FB word, and for each
+/// (data, iter) instance the extents it occupies while resident.  Residency
+/// is indexed by `instance_index`; the extents are the schedule's own
+/// placement, which outlives the run.  `what` formats the offending op for
+/// a failure message and runs only when a check fails.
 class FbState {
  public:
-  explicit FbState(SizeWords capacity) : capacity_(capacity) {}
+  FbState(SizeWords capacity, std::size_t instances)
+      : capacity_(capacity.value()), occupied_((capacity_ + 63) / 64, 0),
+        resident_(instances, nullptr) {}
 
-  void insert(std::uint64_t key, const std::vector<Extent>& extents,
-              const std::string& what) {
-    MSYS_REQUIRE(!instances_.contains(key), "instance already resident: " + what);
+  template <class What>
+  void insert(std::size_t inst, const std::vector<Extent>& extents, const What& what) {
+    MSYS_REQUIRE(resident_[inst] == nullptr, "instance already resident: " + what());
+    // Every extent is checked before any is marked: like the other resident
+    // instances, a placement never conflicts with itself.
     for (const Extent& e : extents) {
-      MSYS_REQUIRE(e.end() <= capacity_.value(), "placement out of range: " + what);
-      for (const auto& [other_key, other] : instances_) {
-        for (const Extent& o : other) {
-          MSYS_REQUIRE(!e.overlaps(o), "FB words doubly occupied: " + what);
-        }
-      }
+      MSYS_REQUIRE(e.end() <= capacity_, "placement out of range: " + what());
+      MSYS_REQUIRE(!any_in_range(occupied_, e.begin(), e.end()),
+                   "FB words doubly occupied: " + what());
     }
+    for (const Extent& e : extents) set_range(occupied_, e.begin(), e.end());
     used_ += total_size(extents).value();
     peak_ = std::max(peak_, used_);
-    instances_.emplace(key, extents);
+    resident_[inst] = &extents;
   }
 
-  void remove(std::uint64_t key, const std::string& what) {
-    auto it = instances_.find(key);
-    MSYS_REQUIRE(it != instances_.end(), "releasing a non-resident instance: " + what);
-    used_ -= total_size(it->second).value();
-    instances_.erase(it);
+  template <class What>
+  void remove(std::size_t inst, const What& what) {
+    const std::vector<Extent>* extents = resident_[inst];
+    MSYS_REQUIRE(extents != nullptr, "releasing a non-resident instance: " + what());
+    for (const Extent& e : *extents) clear_range(occupied_, e.begin(), e.end());
+    used_ -= total_size(*extents).value();
+    resident_[inst] = nullptr;
   }
 
-  [[nodiscard]] bool resident(std::uint64_t key) const { return instances_.contains(key); }
+  [[nodiscard]] bool resident(std::size_t inst) const { return resident_[inst] != nullptr; }
   [[nodiscard]] std::uint64_t peak_words() const { return peak_; }
 
  private:
-  SizeWords capacity_;
-  std::unordered_map<std::uint64_t, std::vector<Extent>> instances_;
+  std::uint64_t capacity_;
+  std::vector<std::uint64_t> occupied_;
+  std::vector<const std::vector<Extent>*> resident_;
   std::uint64_t used_{0};
   std::uint64_t peak_{0};
 };
-
-/// Residency key for a (data, iter) instance within one FB set.
-std::uint64_t inst_key(DataId data, std::uint32_t iter) {
-  return (static_cast<std::uint64_t>(data.index()) << 32) | iter;
-}
 
 /// Functional Context Memory state.
 class CmState {
@@ -334,16 +337,27 @@ SimReport Simulator::run(const ScheduleProgram& program) {
     return a.seq < b.seq;
   });
 
-  FbState fb[2] = {FbState(cfg_->fb_set_size), FbState(cfg_->fb_set_size)};
+  // Instances are indexed data * n_iter + iter; n_iter covers every op's
+  // iteration, so a program that names an iteration the application lacks
+  // still finds its instance absent rather than out of range.
+  std::size_t n_iter = 0;
+  for (const auto* ops : {&program.dma_ops, &program.rc_ops}) {
+    for (const Op& op : *ops) n_iter = std::max(n_iter, std::size_t{op.iter} + 1);
+  }
+  const std::size_t n_instances = app.data_objects().size() * n_iter;
+  auto instance_index = [&](DataId data, std::uint32_t iter) {
+    return std::size_t{data.index()} * n_iter + iter;
+  };
+
+  FbState fb[2] = {FbState(cfg_->fb_set_size, n_instances),
+                   FbState(cfg_->fb_set_size, n_instances)};
   CmState cm(cfg_->cm_capacity_words,
              ctx_plan_->regime() == csched::ContextRegime::kPersistent);
   // Results present in external memory, per round (each round produces
-  // fresh instances): a load of a produced object must follow its store.
-  std::unordered_set<std::uint64_t> in_external;
-  auto external_key = [&](std::uint32_t slot, DataId data, std::uint32_t iter) {
-    return (static_cast<std::uint64_t>(program.slots[slot].round) << 48) |
-           inst_key(data, iter);
-  };
+  // fresh instances): a load of a produced object must follow its store in
+  // the same round.  An instance's iteration belongs to one round, so one
+  // stamp per instance holds the round of its latest store.
+  std::vector<std::uint32_t> stored_in_round(n_instances, 0);  // round + 1; 0 = never
 
   auto describe = [&](const Op& op) {
     std::ostringstream out;
@@ -359,21 +373,21 @@ SimReport Simulator::run(const ScheduleProgram& program) {
     const Op& op = *ev.op->op;
     const codegen::Slot& slot = program.slots[op.slot];
     const FbSet slot_set = sched.cluster(slot.cluster).set;
+    auto what = [&] { return describe(op); };
     switch (op.kind) {
       case OpKind::kLoadData: {
+        const std::size_t inst = instance_index(op.data, op.iter);
         if (ev.phase == kCheck) {
           // Data produced inside the application exists in external memory
           // only once this round's store has completed.
           const KernelId producer = app.data(op.data).producer;
-          MSYS_REQUIRE(!producer.valid() ||
-                           in_external.contains(external_key(op.slot, op.data, op.iter)),
+          MSYS_REQUIRE(!producer.valid() || stored_in_round[inst] == slot.round + 1,
                        "loading a result before its store: " + describe(op));
           break;
         }
         const Placement& p = schedule.placement(op.cluster, {op.data, op.iter});
-        fb[static_cast<std::size_t>(p.set)].insert(inst_key(op.data, op.iter), p.extents,
-                                                   describe(op));
-        if (hooks_.on_load) hooks_.on_load(op, program.slots[op.slot].round);
+        fb[static_cast<std::size_t>(p.set)].insert(inst, p.extents, what);
+        if (hooks_.on_load) hooks_.on_load(op, slot.round);
         break;
       }
       case OpKind::kExec: {
@@ -382,20 +396,19 @@ SimReport Simulator::run(const ScheduleProgram& program) {
           MSYS_REQUIRE(cm.resident(op.kernel),
                        "contexts not CM-resident for " + describe(op));
           for (DataId in : kernel.inputs) {
-            const bool home = fb[static_cast<std::size_t>(slot_set)].resident(
-                inst_key(in, op.iter));
+            const std::size_t inst = instance_index(in, op.iter);
+            const bool home = fb[static_cast<std::size_t>(slot_set)].resident(inst);
             const bool across =
                 cfg_->cross_set_reads &&
-                fb[static_cast<std::size_t>(other_set(slot_set))].resident(
-                    inst_key(in, op.iter));
+                fb[static_cast<std::size_t>(other_set(slot_set))].resident(inst);
             MSYS_REQUIRE(home || across, "input '" + app.data(in).name +
                                              "' not resident for " + describe(op));
           }
         } else {
           for (DataId out : kernel.outputs) {
             const Placement& p = schedule.placement(slot.cluster, {out, op.iter});
-            fb[static_cast<std::size_t>(p.set)].insert(inst_key(out, op.iter), p.extents,
-                                                       describe(op));
+            fb[static_cast<std::size_t>(p.set)].insert(instance_index(out, op.iter),
+                                                       p.extents, what);
           }
           if (hooks_.on_exec) hooks_.on_exec(op, slot);
         }
@@ -403,21 +416,21 @@ SimReport Simulator::run(const ScheduleProgram& program) {
       }
       case OpKind::kStoreData: {
         const std::size_t set = static_cast<std::size_t>(slot_set);
+        const std::size_t inst = instance_index(op.data, op.iter);
         if (ev.phase == kCheck) {
-          MSYS_REQUIRE(fb[set].resident(inst_key(op.data, op.iter)),
+          MSYS_REQUIRE(fb[set].resident(inst),
                        "storing a non-resident instance: " + describe(op));
         } else if (ev.phase == kInsert) {
-          in_external.insert(external_key(op.slot, op.data, op.iter));
-          if (hooks_.on_store) hooks_.on_store(op, program.slots[op.slot].round);
+          stored_in_round[inst] = slot.round + 1;
+          if (hooks_.on_store) hooks_.on_store(op, slot.round);
         } else {
-          fb[set].remove(inst_key(op.data, op.iter), describe(op));
+          fb[set].remove(inst, what);
         }
         break;
       }
       case OpKind::kRelease: {
         const Placement& p = schedule.placement(op.cluster, {op.data, op.iter});
-        fb[static_cast<std::size_t>(p.set)].remove(inst_key(op.data, op.iter),
-                                                   describe(op));
+        fb[static_cast<std::size_t>(p.set)].remove(instance_index(op.data, op.iter), what);
         break;
       }
       case OpKind::kLoadContext: {

@@ -3,7 +3,9 @@
 // asserts the structural invariants after every step.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
+#include <type_traits>
 #include <vector>
 
 #include "msys/alloc/fb_allocator.hpp"
@@ -12,11 +14,19 @@
 namespace msys::alloc {
 namespace {
 
+// With no PrintTo, gtest prints a parameter as its raw bytes, and
+// gtest_discover_tests makes that print part of each ctest name.
+// `reserved` takes the place of the padding, whose bytes are unspecified,
+// so every printed byte is a field's value and the names are the same on
+// every build.
 struct Params {
   std::uint64_t seed;
   FitPolicy policy;
   bool allow_split;
+  std::array<std::uint8_t, 6> reserved{};
 };
+static_assert(std::has_unique_object_representations_v<Params>,
+              "padding in Params would put unspecified bytes into test names");
 
 class AllocatorFuzz : public ::testing::TestWithParam<Params> {};
 

@@ -1,5 +1,6 @@
 // IndexSet / IdSet: word-parallel membership, ascending iteration, and
-// the insertion-order-independent hash the PlanCache keys rely on.
+// the insertion-order-independent hash the PlanCache keys rely on; and the
+// bit-range operations behind the simulator's FB-word occupancy map.
 #include "msys/common/bitset.hpp"
 
 #include <gtest/gtest.h>
@@ -7,6 +8,7 @@
 #include <vector>
 
 #include "msys/common/hash.hpp"
+#include "msys/common/rng.hpp"
 #include "msys/common/types.hpp"
 
 namespace msys {
@@ -109,6 +111,108 @@ TEST(IdSet, TypedInterfaceIteratesAscendingIds) {
   EXPECT_TRUE(s.erase(DataId{9}));
   EXPECT_FALSE(s.erase(DataId{}));  // erasing an invalid id is a no-op
   EXPECT_EQ(s.size(), 2u);
+}
+
+/// The set bits of a word array, in ascending order.
+std::vector<std::uint64_t> set_bits(const std::vector<std::uint64_t>& words) {
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t i = 0; i < words.size() * 64; ++i) {
+    if ((words[i / 64] >> (i % 64)) & 1U) out.push_back(i);
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> iota(std::uint64_t begin, std::uint64_t end) {
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t i = begin; i < end; ++i) out.push_back(i);
+  return out;
+}
+
+TEST(BitRange, RangesAtWordBoundaries) {
+  // [begin, end) pairs starting or ending at bits 0, 63 and 64.
+  const std::pair<std::uint64_t, std::uint64_t> ranges[] = {
+      {0, 1}, {0, 63}, {0, 64}, {0, 65}, {63, 64}, {63, 65}, {64, 65}, {64, 128}, {1, 63}};
+  for (const auto& [begin, end] : ranges) {
+    std::vector<std::uint64_t> words(3, 0);
+    set_range(words, begin, end);
+    EXPECT_EQ(set_bits(words), iota(begin, end)) << begin << ".." << end;
+    EXPECT_TRUE(any_in_range(words, begin, end));
+    EXPECT_TRUE(any_in_range(words, end - 1, end));
+    EXPECT_FALSE(any_in_range(words, end, 192));
+    EXPECT_FALSE(any_in_range(words, 0, begin));  // empty when begin is 0
+    clear_range(words, begin, end);
+    EXPECT_TRUE(set_bits(words).empty()) << begin << ".." << end;
+  }
+}
+
+TEST(BitRange, RangeAcrossSeveralWords) {
+  std::vector<std::uint64_t> words(5, 0);
+  set_range(words, 10, 300);
+  EXPECT_EQ(words[0], ~((1ULL << 10) - 1));
+  EXPECT_EQ(words[1], ~0ULL);
+  EXPECT_EQ(words[3], ~0ULL);
+  EXPECT_EQ(words[4], (1ULL << (300 - 256)) - 1);
+  EXPECT_EQ(set_bits(words), iota(10, 300));
+  // Clearing a middle stretch leaves both ends set.
+  clear_range(words, 60, 200);
+  std::vector<std::uint64_t> want = iota(10, 60);
+  for (const std::uint64_t i : iota(200, 300)) want.push_back(i);
+  EXPECT_EQ(set_bits(words), want);
+  EXPECT_FALSE(any_in_range(words, 60, 200));
+  EXPECT_TRUE(any_in_range(words, 59, 200));
+  EXPECT_TRUE(any_in_range(words, 60, 201));
+}
+
+TEST(BitRange, RangeEndingExactlyAtCapacity) {
+  std::vector<std::uint64_t> words(2, 0);  // capacity 128 bits
+  set_range(words, 100, 128);
+  EXPECT_EQ(set_bits(words), iota(100, 128));
+  EXPECT_TRUE(any_in_range(words, 127, 128));
+  EXPECT_FALSE(any_in_range(words, 0, 100));
+  set_range(words, 0, 128);
+  EXPECT_EQ(words[0], ~0ULL);
+  EXPECT_EQ(words[1], ~0ULL);
+  clear_range(words, 0, 128);
+  EXPECT_TRUE(set_bits(words).empty());
+}
+
+TEST(BitRange, EmptyRangesTouchNothing) {
+  std::vector<std::uint64_t> words(2, 0);
+  set_range(words, 0, 128);
+  // Empty ranges inside, at a word boundary and at the end of a full array.
+  for (const std::uint64_t at : {0U, 5U, 63U, 64U, 128U}) {
+    EXPECT_FALSE(any_in_range(words, at, at)) << at;
+    clear_range(words, at, at);
+  }
+  EXPECT_EQ(set_bits(words), iota(0, 128));
+  std::vector<std::uint64_t> empty(2, 0);
+  for (const std::uint64_t at : {0U, 63U, 64U, 128U}) set_range(empty, at, at);
+  EXPECT_TRUE(set_bits(empty).empty());
+}
+
+TEST(BitRange, MatchesAPerBitModel) {
+  constexpr std::uint64_t kBits = 320;
+  Rng rng(7);
+  std::vector<std::uint64_t> words(kBits / 64, 0);
+  std::vector<bool> model(kBits, false);
+  for (int step = 0; step < 2000; ++step) {
+    std::uint64_t begin = rng.uniform(0, kBits);
+    std::uint64_t end = rng.uniform(0, kBits);
+    if (begin > end) std::swap(begin, end);
+    bool any = false;
+    for (std::uint64_t i = begin; i < end; ++i) any = any || model[i];
+    ASSERT_EQ(any_in_range(words, begin, end), any) << begin << ".." << end;
+    const bool set = rng.chance(1, 2);
+    if (set) {
+      set_range(words, begin, end);
+    } else {
+      clear_range(words, begin, end);
+    }
+    for (std::uint64_t i = begin; i < end; ++i) model[i] = set;
+    for (std::uint64_t i = 0; i < kBits; ++i) {
+      ASSERT_EQ(((words[i / 64] >> (i % 64)) & 1U) != 0, model[i]) << "bit " << i;
+    }
+  }
 }
 
 }  // namespace

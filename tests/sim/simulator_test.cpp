@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "msys/common/error.hpp"
 #include "msys/dsched/cost.hpp"
@@ -37,6 +38,27 @@ SimRun simulate(const model::KernelSchedule& sched, const arch::M1Config& cfg,
   Simulator simulator(cfg, r.ctx_plan);
   r.report = simulator.run(r.program);
   return r;
+}
+
+/// The text of the fault the simulator raises on `program`: `what()` less
+/// the "MSYS_REQUIRE failed: " prefix and the " [condition] at file:line"
+/// suffix, which locate the check in the source rather than describe the
+/// fault.
+std::string fault_text(const arch::M1Config& cfg, const csched::ContextPlan& plan,
+                       const ScheduleProgram& program) {
+  Simulator simulator(cfg, plan);
+  try {
+    (void)simulator.run(program);
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    const std::string prefix = "MSYS_REQUIRE failed: ";
+    EXPECT_EQ(what.rfind(prefix, 0), 0u) << what;
+    const std::size_t end = what.find(" [", prefix.size());
+    EXPECT_NE(end, std::string::npos) << what;
+    return what.substr(prefix.size(), end - prefix.size());
+  }
+  ADD_FAILURE() << "the corrupted program ran to completion";
+  return {};
 }
 
 TEST(Simulator, RunsCleanProgram) {
@@ -97,8 +119,7 @@ TEST(Simulator, DetectsMissingInput) {
                          [](const Op& op) { return op.kind == OpKind::kLoadData; });
   ASSERT_NE(it, program.dma_ops.end());
   program.dma_ops.erase(it);
-  Simulator simulator(cfg, plan);
-  EXPECT_THROW((void)simulator.run(program), Error);
+  EXPECT_EQ(fault_text(cfg, plan, program), "input 'b' not resident for EXEC p2 slot=0 iter=0");
 }
 
 TEST(Simulator, DetectsMissingContexts) {
@@ -110,8 +131,7 @@ TEST(Simulator, DetectsMissingContexts) {
   ScheduleProgram program = codegen::generate(s, plan);
   std::erase_if(program.dma_ops,
                 [](const Op& op) { return op.kind == OpKind::kLoadContext; });
-  Simulator simulator(cfg, plan);
-  EXPECT_THROW((void)simulator.run(program), Error);
+  EXPECT_EQ(fault_text(cfg, plan, program), "contexts not CM-resident for EXEC p1 slot=0 iter=0");
 }
 
 TEST(Simulator, DetectsDoubleRelease) {
@@ -125,8 +145,7 @@ TEST(Simulator, DetectsDoubleRelease) {
                          [](const Op& op) { return op.kind == OpKind::kRelease; });
   ASSERT_NE(it, program.rc_ops.end());
   program.rc_ops.push_back(*it);  // duplicate release at the end
-  Simulator simulator(cfg, plan);
-  EXPECT_THROW((void)simulator.run(program), Error);
+  EXPECT_EQ(fault_text(cfg, plan, program), "releasing a non-resident instance: RELEASE a slot=0 iter=0");
 }
 
 TEST(Simulator, DetectsOverlappingPlacements) {
@@ -142,8 +161,7 @@ TEST(Simulator, DetectsOverlappingPlacements) {
   const auto& pb = s.placements.at(dsched::DataSchedule::key(ClusterId{0}, {b, 0}));
   pa.extents = pb.extents;
   ScheduleProgram program = codegen::generate(s, plan);
-  Simulator simulator(cfg, plan);
-  EXPECT_THROW((void)simulator.run(program), Error);
+  EXPECT_EQ(fault_text(cfg, plan, program), "FB words doubly occupied: LOAD a slot=0 iter=0");
 }
 
 TEST(Simulator, DetectsOutOfRangePlacement) {
@@ -156,8 +174,65 @@ TEST(Simulator, DetectsOutOfRangePlacement) {
   auto& pa = s.placements.at(dsched::DataSchedule::key(ClusterId{0}, {a, 0}));
   pa.extents = {Extent{1000, SizeWords{100}}};  // past the 1024-word set
   ScheduleProgram program = codegen::generate(s, plan);
-  Simulator simulator(cfg, plan);
-  EXPECT_THROW((void)simulator.run(program), Error);
+  EXPECT_EQ(fault_text(cfg, plan, program), "placement out of range: LOAD a slot=0 iter=0");
+}
+
+TEST(Simulator, DetectsDoubleLoad) {
+  TwoClusterApp t = TwoClusterApp::make(/*iterations=*/1);
+  ScheduleAnalysis analysis(t.sched);
+  const arch::M1Config cfg = test_cfg(1024);
+  dsched::DataSchedule s = dsched::BasicScheduler{}.schedule(analysis, cfg);
+  csched::ContextPlan plan = csched::ContextPlan::build(t.sched, cfg.cm_capacity_words);
+  ScheduleProgram program = codegen::generate(s, plan);
+  auto it = std::find_if(program.dma_ops.begin(), program.dma_ops.end(),
+                         [](const Op& op) { return op.kind == OpKind::kLoadData; });
+  ASSERT_NE(it, program.dma_ops.end());
+  program.dma_ops.insert(it, *it);  // the same instance loaded twice in a row
+  EXPECT_EQ(fault_text(cfg, plan, program), "instance already resident: LOAD b slot=0 iter=0");
+}
+
+TEST(Simulator, DetectsLoadOfAResultThatWasNeverStored) {
+  // sr is produced in Cl1 and loaded again by Cl3: replace its store by a
+  // plain release, so the words are freed but nothing reaches external
+  // memory.
+  RetentionApp r = RetentionApp::make(/*iterations=*/1);
+  ScheduleAnalysis analysis(r.sched);
+  const arch::M1Config cfg = test_cfg(1024);
+  dsched::DataSchedule s = dsched::BasicScheduler{}.schedule(analysis, cfg);
+  csched::ContextPlan plan = csched::ContextPlan::build(r.sched, cfg.cm_capacity_words);
+  ScheduleProgram program = codegen::generate(s, plan);
+  const DataId sr = *r.app->find_data("sr");
+  auto store = std::find_if(program.dma_ops.begin(), program.dma_ops.end(), [&](const Op& op) {
+    return op.kind == OpKind::kStoreData && op.data == sr;
+  });
+  ASSERT_NE(store, program.dma_ops.end());
+  Op release = *store;
+  release.kind = OpKind::kRelease;
+  release.release_after_store = false;
+  program.dma_ops.erase(store);
+  auto last_exec = std::find_if(program.rc_ops.rbegin(), program.rc_ops.rend(),
+                                [&](const Op& op) {
+                                  return op.kind == OpKind::kExec && op.slot == release.slot;
+                                });
+  ASSERT_NE(last_exec, program.rc_ops.rend());
+  program.rc_ops.insert(last_exec.base(), release);
+  EXPECT_EQ(fault_text(cfg, plan, program), "loading a result before its store: LOAD sr slot=2 iter=0");
+}
+
+TEST(Simulator, DetectsStoreOfANonResidentInstance) {
+  TwoClusterApp t = TwoClusterApp::make(/*iterations=*/1);
+  ScheduleAnalysis analysis(t.sched);
+  const arch::M1Config cfg = test_cfg(1024);
+  dsched::DataSchedule s = dsched::BasicScheduler{}.schedule(analysis, cfg);
+  csched::ContextPlan plan = csched::ContextPlan::build(t.sched, cfg.cm_capacity_words);
+  ScheduleProgram program = codegen::generate(s, plan);
+  auto it = std::find_if(program.dma_ops.begin(), program.dma_ops.end(), [](const Op& op) {
+    return op.kind == OpKind::kStoreData && op.release_after_store;
+  });
+  ASSERT_NE(it, program.dma_ops.end());
+  // The first store frees the instance's words; the second finds nothing.
+  program.dma_ops.insert(std::next(it), *it);
+  EXPECT_EQ(fault_text(cfg, plan, program), "storing a non-resident instance: STORE r1 slot=0 iter=0");
 }
 
 TEST(Simulator, StallAccountsForNonOverlappedDma) {
